@@ -104,6 +104,16 @@ impl Outcome {
     pub fn is_hit(self) -> bool {
         matches!(self, Outcome::Hit)
     }
+
+    /// `true` on a miss that evicted a dirty line.
+    pub(crate) fn victim_writeback(self) -> bool {
+        matches!(
+            self,
+            Outcome::Miss {
+                victim_writeback: true
+            }
+        )
+    }
 }
 
 /// Running access statistics.
@@ -133,15 +143,47 @@ impl CacheStats {
     pub fn hit_rate(&self) -> f64 {
         1.0 - self.miss_rate()
     }
+
+    /// Counts one probe and its outcome.
+    pub(crate) fn record(&mut self, access: Access, out: Outcome) {
+        self.accesses += 1;
+        if access.is_write() {
+            self.writes += 1;
+        }
+        if !out.is_hit() {
+            self.misses += 1;
+        }
+        if out.victim_writeback() {
+            self.writebacks += 1;
+        }
+    }
 }
 
+/// The dirty bit of [`Line::stamp`].
+const DIRTY: u64 = 1;
+
+/// One cache line in 16 bytes: the tag keeps all 64 bits (a one-set
+/// cache of 1-byte blocks tags with the whole address), and the valid
+/// and dirty flags live in the stamp.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp or FIFO insertion order, depending on policy.
+    /// `tick << 1 | dirty`, where `tick` is the LRU timestamp or FIFO
+    /// insertion order. Ticks start at 1, so 0 marks an invalid line;
+    /// the valid ticks of one set are distinct, so comparing stamps
+    /// orders lines exactly as comparing ticks does. Exact for the
+    /// first 2^63 probes after a flush.
     stamp: u64,
+}
+
+impl Line {
+    fn valid(self) -> bool {
+        self.stamp != 0
+    }
+
+    fn dirty(self) -> bool {
+        self.stamp & DIRTY != 0
+    }
 }
 
 /// A set-associative, write-back, write-allocate cache simulator.
@@ -162,6 +204,12 @@ struct Line {
 pub struct CacheSim {
     params: CacheParams,
     policy: Replacement,
+    /// `log2(block_bytes)`.
+    block_shift: u32,
+    /// `log2(sets)`.
+    set_shift: u32,
+    /// `sets - 1`.
+    set_mask: u64,
     lines: Vec<Line>,
     stats: CacheStats,
     tick: u64,
@@ -175,6 +223,9 @@ impl CacheSim {
         CacheSim {
             params,
             policy,
+            block_shift: params.block_bytes().trailing_zeros(),
+            set_shift: params.sets().trailing_zeros(),
+            set_mask: params.sets() - 1,
             lines: vec![Line::default(); total_lines],
             stats: CacheStats::default(),
             tick: 0,
@@ -203,20 +254,17 @@ impl CacheSim {
         self.stats = CacheStats::default();
     }
 
-    /// Flushes all contents and statistics back to the cold state.
+    /// Flushes all contents and statistics back to the cold state: the
+    /// cache then behaves exactly as a new one, random policy included.
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
-        self.stats = CacheStats::default();
-        self.tick = 0;
+        *self = CacheSim::new(self.params, self.policy);
     }
 
+    /// Shifts and a mask in place of division: [`CacheParams`] makes
+    /// the block size and set count powers of two.
     fn set_index_and_tag(&self, addr: u64) -> (usize, u64) {
-        let block = addr / self.params.block_bytes;
-        let set = (block % self.params.sets()) as usize;
-        let tag = block / self.params.sets();
-        (set, tag)
+        let block = addr >> self.block_shift;
+        ((block & self.set_mask) as usize, block >> self.set_shift)
     }
 
     fn next_random(&mut self) -> u64 {
@@ -231,35 +279,36 @@ impl CacheSim {
 
     /// Probes the cache with one reference, updating state and statistics.
     pub fn access(&mut self, access: Access) -> Outcome {
+        let out = self.probe(access);
+        self.stats.record(access, out);
+        out
+    }
+
+    fn probe(&mut self, access: Access) -> Outcome {
         self.tick += 1;
-        self.stats.accesses += 1;
-        if access.is_write() {
-            self.stats.writes += 1;
-        }
         let (set, tag) = self.set_index_and_tag(access.addr);
         let ways = self.params.ways() as usize;
         let base = set * ways;
+        let dirty = u64::from(access.is_write());
 
         // Hit path.
         for i in base..base + ways {
-            if self.lines[i].valid && self.lines[i].tag == tag {
+            let line = &mut self.lines[i];
+            if line.valid() && line.tag == tag {
                 if self.policy == Replacement::Lru {
-                    self.lines[i].stamp = self.tick;
+                    line.stamp = (self.tick << 1) | (line.stamp & DIRTY);
                 }
-                if access.is_write() {
-                    self.lines[i].dirty = true;
-                }
+                line.stamp |= dirty;
                 return Outcome::Hit;
             }
         }
 
         // Miss path: pick a victim.
-        self.stats.misses += 1;
         let victim = match self.policy {
             Replacement::Lru | Replacement::Fifo => {
                 let mut best = base;
                 for i in base..base + ways {
-                    if !self.lines[i].valid {
+                    if !self.lines[i].valid() {
                         best = i;
                         break;
                     }
@@ -272,20 +321,15 @@ impl CacheSim {
             Replacement::Random => {
                 // Prefer an invalid way when one exists.
                 (base..base + ways)
-                    .find(|&i| !self.lines[i].valid)
+                    .find(|&i| !self.lines[i].valid())
                     .unwrap_or_else(|| base + (self.next_random() as usize % ways))
             }
         };
 
-        let victim_writeback = self.lines[victim].valid && self.lines[victim].dirty;
-        if victim_writeback {
-            self.stats.writebacks += 1;
-        }
+        let victim_writeback = self.lines[victim].dirty();
         self.lines[victim] = Line {
             tag,
-            valid: true,
-            dirty: access.is_write(),
-            stamp: self.tick,
+            stamp: (self.tick << 1) | dirty,
         };
         Outcome::Miss { victim_writeback }
     }
@@ -438,6 +482,147 @@ mod tests {
         assert!((s.miss_rate() - 0.25).abs() < 1e-12);
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(CacheStats::default().miss_rate(), 0.0);
+    }
+
+    /// A straightforward model of the cache: divisions for the set
+    /// index and tag, and separate valid and dirty flags per line.
+    struct ModelCache {
+        params: CacheParams,
+        policy: Replacement,
+        /// `(tag, valid, dirty, stamp)` per line.
+        lines: Vec<(u64, bool, bool, u64)>,
+        tick: u64,
+        rng_state: u64,
+    }
+
+    impl ModelCache {
+        fn new(params: CacheParams, policy: Replacement) -> Self {
+            ModelCache {
+                params,
+                policy,
+                lines: vec![(0, false, false, 0); (params.sets() * params.ways()) as usize],
+                tick: 0,
+                rng_state: 0x9e37_79b9_7f4a_7c15,
+            }
+        }
+
+        fn access(&mut self, access: Access) -> Outcome {
+            self.tick += 1;
+            let block = access.addr / self.params.block_bytes();
+            let set = (block % self.params.sets()) as usize;
+            let tag = block / self.params.sets();
+            let ways = self.params.ways() as usize;
+            let set_lines = &mut self.lines[set * ways..(set + 1) * ways];
+            if let Some(line) = set_lines.iter_mut().find(|l| l.1 && l.0 == tag) {
+                if self.policy == Replacement::Lru {
+                    line.3 = self.tick;
+                }
+                line.2 |= access.is_write();
+                return Outcome::Hit;
+            }
+            let victim = match set_lines.iter().position(|l| !l.1) {
+                Some(free) => free,
+                None => match self.policy {
+                    Replacement::Lru | Replacement::Fifo => {
+                        (0..ways).min_by_key(|&i| set_lines[i].3).unwrap()
+                    }
+                    Replacement::Random => {
+                        let mut x = self.rng_state;
+                        x ^= x >> 12;
+                        x ^= x << 25;
+                        x ^= x >> 27;
+                        self.rng_state = x;
+                        x.wrapping_mul(0x2545_f491_4f6c_dd1d) as usize % ways
+                    }
+                },
+            };
+            let victim_writeback = set_lines[victim].1 && set_lines[victim].2;
+            set_lines[victim] = (tag, true, access.is_write(), self.tick);
+            Outcome::Miss { victim_writeback }
+        }
+    }
+
+    /// A mixed read/write stream over a few conflicting sets, with
+    /// addresses anywhere in the 64-bit space.
+    fn mixed_stream(n: u64) -> impl Iterator<Item = Access> {
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        (0..n).map(move |_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let addr = ((x >> 40) % (16 * 1024)) | ((x & 3) << 62);
+            if x >> 63 == 1 {
+                Access::write(addr)
+            } else {
+                Access::read(addr)
+            }
+        })
+    }
+
+    #[test]
+    fn compact_line_matches_the_model_for_every_policy() {
+        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
+            for p in [params(4096, 64, 4), params(1024, 32, 1), params(512, 1, 8)] {
+                let mut sim = CacheSim::new(p, policy);
+                let mut model = ModelCache::new(p, policy);
+                let mut expected = CacheStats::default();
+                for (i, a) in mixed_stream(20_000).enumerate() {
+                    let out = model.access(a);
+                    expected.record(a, out);
+                    assert_eq!(sim.access(a), out, "{policy:?} {p} reference {i}: {a}");
+                }
+                assert_eq!(sim.stats(), expected, "{policy:?} {p}");
+                assert!(expected.writebacks > 0 && expected.misses < expected.accesses);
+            }
+        }
+    }
+
+    #[test]
+    fn flush_returns_the_compact_cache_to_cold() {
+        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
+            let p = params(2048, 64, 2);
+            let mut sim = CacheSim::new(p, policy);
+            sim.run(mixed_stream(5_000));
+            sim.flush();
+            assert_eq!(sim.stats(), CacheStats::default());
+            // A cold cache again: every block misses once, and nothing
+            // is dirty to write back, even where it was before.
+            let mut cold = CacheSim::new(p, policy);
+            for a in mixed_stream(5_000).take(2_000) {
+                assert_eq!(sim.access(a), cold.access(a), "{policy:?}: {a}");
+            }
+            assert_eq!(sim.stats(), cold.stats());
+        }
+    }
+
+    #[test]
+    fn full_width_tags_do_not_collide_with_line_flags() {
+        // One set of 1-byte blocks: the tag is the whole address, so
+        // bit 63 and tag 0 are both in use.
+        let mut c = CacheSim::new(params(2, 1, 2), Replacement::Lru);
+        let top = 1u64 << 63;
+        assert!(!c.access(Access::write(top)).is_hit());
+        assert!(!c.access(Access::read(0)).is_hit());
+        assert!(c.access(Access::read(top)).is_hit());
+        assert!(c.access(Access::read(0)).is_hit());
+        // Neither aliases its neighbours across the top bit.
+        assert!(!c.access(Access::read(top | 1)).is_hit()); // evicts dirty `top`
+        assert_eq!(c.stats().writebacks, 1);
+        assert!(!c.access(Access::read(top)).is_hit()); // evicts clean 0
+        assert_eq!(c.stats().writebacks, 1);
+        assert!(!c.access(Access::write(u64::MAX)).is_hit()); // evicts clean `top | 1`
+        assert_eq!(
+            c.access(Access::read(0)),
+            Outcome::Miss {
+                victim_writeback: false
+            }
+        );
+        assert_eq!(
+            c.access(Access::read(1)),
+            Outcome::Miss {
+                victim_writeback: true
+            }
+        );
     }
 
     #[test]

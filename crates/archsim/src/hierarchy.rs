@@ -90,6 +90,65 @@ impl MultiLevelStats {
     }
 }
 
+/// One level of a miss chain: the cache and the traffic it takes from
+/// the level above.
+#[derive(Debug, Clone)]
+pub(crate) struct Level {
+    pub(crate) sim: CacheSim,
+    /// Statistics over the demand probes from the level above (unused
+    /// at the top level, whose demand is every reference).
+    pub(crate) demand: CacheStats,
+    /// Dirty victims written out of this level into the next.
+    pub(crate) victim_writebacks: u64,
+}
+
+impl Level {
+    pub(crate) fn new(params: CacheParams, policy: Replacement) -> Self {
+        Level {
+            sim: CacheSim::new(params, policy),
+            demand: CacheStats::default(),
+            victim_writebacks: 0,
+        }
+    }
+
+    /// Clears statistics, keeping contents.
+    pub(crate) fn reset_stats(&mut self) {
+        self.sim.reset_stats();
+        self.demand = CacheStats::default();
+        self.victim_writebacks = 0;
+    }
+}
+
+/// Hands one miss of a level to the levels below it (`below`, nearest
+/// first, not empty) and returns the outcome of the next level's demand
+/// probe. This is the one place the chain's miss semantics live.
+///
+/// A dirty victim of the missing level is written back first
+/// (`writeback`), and propagates one level further each time the
+/// writeback itself evicts a dirty line. The cache model keeps tags
+/// only, so the victim's address is unknown: the writeback goes to the
+/// demand address, on the assumption that lower levels are large
+/// enough for this not to disturb the demand stream. Then the next
+/// level takes the demand probe.
+pub(crate) fn miss_step(below: &mut [Level], access: Access, writeback: bool) -> Outcome {
+    if writeback {
+        for level in below.iter_mut() {
+            if !level
+                .sim
+                .access(Access::write(access.addr))
+                .victim_writeback()
+            {
+                break;
+            }
+            level.victim_writebacks += 1;
+        }
+    }
+    let next = &mut below[0];
+    let out = next.sim.access(access);
+    next.demand.record(access, out);
+    out
+}
+
 /// An N-level miss-chain cache hierarchy.
 ///
 /// ```
@@ -111,9 +170,7 @@ impl MultiLevelStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiLevel {
-    levels: Vec<CacheSim>,
-    demand: Vec<CacheStats>,
-    victim_writebacks: Vec<u64>,
+    levels: Vec<Level>,
 }
 
 impl MultiLevel {
@@ -127,14 +184,8 @@ impl MultiLevel {
         if levels.is_empty() {
             return Err(SimError::EmptyHierarchy);
         }
-        let n = levels.len();
         Ok(MultiLevel {
-            levels: levels
-                .into_iter()
-                .map(|p| CacheSim::new(p, policy))
-                .collect(),
-            demand: vec![CacheStats::default(); n],
-            victim_writebacks: vec![0; n],
+            levels: levels.into_iter().map(|p| Level::new(p, policy)).collect(),
         })
     }
 
@@ -149,7 +200,7 @@ impl MultiLevel {
     ///
     /// Panics when `i` is out of range.
     pub fn params(&self, i: usize) -> CacheParams {
-        self.levels[i].params()
+        self.levels[i].sim.params()
     }
 
     /// Issues one CPU reference through the miss chain.
@@ -157,56 +208,19 @@ impl MultiLevel {
     /// Returns `Some(i)` when level `i` hit, `None` when the reference
     /// fell through every level to main memory.
     pub fn access(&mut self, access: Access) -> Option<usize> {
-        let n = self.levels.len();
-        for i in 0..n {
-            let out = self.levels[i].access(access);
-            if i > 0 {
-                let d = &mut self.demand[i];
-                d.accesses += 1;
-                if access.is_write() {
-                    d.writes += 1;
-                }
-                if !out.is_hit() {
-                    d.misses += 1;
-                }
-                if matches!(
-                    out,
-                    Outcome::Miss {
-                        victim_writeback: true
-                    }
-                ) {
-                    d.writebacks += 1;
-                }
-            }
+        let mut out = self.levels[0].sim.access(access);
+        for i in 0..self.levels.len() {
             if out.is_hit() {
                 return Some(i);
             }
-            if matches!(
-                out,
-                Outcome::Miss {
-                    victim_writeback: true
-                }
-            ) {
-                // The victim's address is unknown to the cache model (tags
-                // only); write back to the same set region — lower levels
-                // are large enough that this approximation does not
-                // disturb the demand stream. A writeback that itself
-                // evicts a dirty line propagates one level further.
-                self.victim_writebacks[i] += 1;
-                for j in i + 1..n {
-                    let wb = self.levels[j].access(Access::write(access.addr));
-                    if matches!(
-                        wb,
-                        Outcome::Miss {
-                            victim_writeback: true
-                        }
-                    ) {
-                        self.victim_writebacks[j] += 1;
-                    } else {
-                        break;
-                    }
-                }
+            let (level, below) = self.levels[i..].split_at_mut(1);
+            if out.victim_writeback() {
+                level[0].victim_writebacks += 1;
             }
+            if below.is_empty() {
+                break;
+            }
+            out = miss_step(below, access, out.victim_writeback());
         }
         None
     }
@@ -223,24 +237,21 @@ impl MultiLevel {
 
     /// Snapshot of the per-level statistics.
     pub fn stats(&self) -> MultiLevelStats {
-        let mut levels: Vec<CacheStats> = self.demand.clone();
-        levels[0] = self.levels[0].stats();
         MultiLevelStats {
-            levels,
-            writebacks: self.victim_writebacks.clone(),
+            levels: self
+                .levels
+                .iter()
+                .enumerate()
+                .map(|(i, l)| if i == 0 { l.sim.stats() } else { l.demand })
+                .collect(),
+            writebacks: self.levels.iter().map(|l| l.victim_writebacks).collect(),
         }
     }
 
     /// Clears statistics after warm-up, keeping contents.
     pub fn reset_stats(&mut self) {
-        for sim in &mut self.levels {
-            sim.reset_stats();
-        }
-        for d in &mut self.demand {
-            *d = CacheStats::default();
-        }
-        for w in &mut self.victim_writebacks {
-            *w = 0;
+        for level in &mut self.levels {
+            level.reset_stats();
         }
     }
 }

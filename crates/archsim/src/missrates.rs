@@ -1,9 +1,11 @@
 //! Miss-rate tables over (L1 size × L2 size) combinations — the
 //! architectural statistics the paper's Section 5 optimisations consume.
 
-use crate::cache::{CacheParams, Replacement};
+use crate::access::Access;
+use crate::cache::{CacheParams, CacheSim, CacheStats, Replacement};
 use crate::error::SimError;
-use crate::hierarchy::{MultiLevel, TwoLevel};
+use crate::hierarchy::{miss_step, HierarchyStats, Level, MultiLevel, TwoLevel};
+use crate::names::{ARCHSIM_L1_PASSES, ARCHSIM_L2_REPLAYS, ARCHSIM_REFS};
 use crate::workload::{SuiteKind, Workload};
 use nm_sweep::ParallelSweep;
 use serde::{Deserialize, Serialize};
@@ -29,6 +31,25 @@ impl PairStats {
     pub fn global_miss_rate(&self) -> f64 {
         self.l1_miss_rate * self.l2_local_miss_rate
     }
+
+    /// The rates of a hierarchy's statistics over `measure` references.
+    fn from_stats(s: &HierarchyStats, measure: u64) -> Self {
+        PairStats {
+            l1_miss_rate: s.l1_miss_rate(),
+            l2_local_miss_rate: s.l2_local_miss_rate(),
+            l1_writeback_rate: if measure == 0 {
+                0.0
+            } else {
+                s.l1_writebacks as f64 / measure as f64
+            },
+            write_fraction: if s.l1.accesses == 0 {
+                0.0
+            } else {
+                s.l1.writes as f64 / s.l1.accesses as f64
+            },
+            measured: measure,
+        }
+    }
 }
 
 /// Simulates one (L1, L2) pair against a workload: `warmup` references to
@@ -48,21 +69,105 @@ pub fn simulate_pair(
     for _ in 0..measure {
         h.access(workload.next_access());
     }
-    let s = h.stats();
-    PairStats {
-        l1_miss_rate: s.l1_miss_rate(),
-        l2_local_miss_rate: s.l2_local_miss_rate(),
-        l1_writeback_rate: if measure == 0 {
-            0.0
+    PairStats::from_stats(&h.stats(), measure)
+}
+
+/// Block size of every level of a [`MissRateTable`].
+const TABLE_BLOCK_BYTES: u64 = 64;
+
+/// One L1 miss of a table unit, packed into a `u64`: the base address
+/// of the missed block, with a write flag (bit 1) and a
+/// dirty-victim-writeback flag (bit 0) in the block-offset bits.
+#[derive(Debug, Clone, Copy)]
+struct MissEvent(u64);
+
+impl MissEvent {
+    const BLOCK_BASE: u64 = !(TABLE_BLOCK_BYTES - 1);
+    const WRITE: u64 = 2;
+    const VICTIM_WRITEBACK: u64 = 1;
+
+    fn new(access: Access, victim_writeback: bool) -> Self {
+        let mut e = access.addr & Self::BLOCK_BASE;
+        if access.is_write() {
+            e |= Self::WRITE;
+        }
+        if victim_writeback {
+            e |= Self::VICTIM_WRITEBACK;
+        }
+        MissEvent(e)
+    }
+
+    /// The demand reference, at its block's base address: the same set
+    /// and tag as the original address in any level with table blocks.
+    fn access(self) -> Access {
+        let addr = self.0 & Self::BLOCK_BASE;
+        if self.0 & Self::WRITE != 0 {
+            Access::write(addr)
         } else {
-            s.l1_writebacks as f64 / measure as f64
-        },
-        write_fraction: if s.l1.accesses == 0 {
-            0.0
-        } else {
-            s.l1.writes as f64 / s.l1.accesses as f64
-        },
-        measured: measure,
+            Access::read(addr)
+        }
+    }
+
+    fn victim_writeback(self) -> bool {
+        self.0 & Self::VICTIM_WRITEBACK != 0
+    }
+}
+
+/// The L1 side of one (L1 size, suite) unit of a [`MissRateTable`].
+struct L1Pass {
+    /// L1 statistics over the measured references.
+    stats: CacheStats,
+    /// Every L1 miss in reference order, warm-up misses first.
+    misses: Vec<MissEvent>,
+    /// How many of `misses` fall in the warm-up.
+    warmup_misses: usize,
+}
+
+impl L1Pass {
+    /// Generates `suite`'s stream once and runs it through the L1,
+    /// recording the miss stream the next level would see.
+    fn run(l1: CacheParams, suite: SuiteKind, seed: u64, warmup: u64, measure: u64) -> Self {
+        let mut w = suite.build(seed);
+        let mut sim = CacheSim::new(l1, Replacement::Lru);
+        let mut misses = Vec::new();
+        let mut run = |refs: u64, sim: &mut CacheSim, misses: &mut Vec<MissEvent>| {
+            for _ in 0..refs {
+                let access = w.next_access();
+                let out = sim.access(access);
+                if !out.is_hit() {
+                    misses.push(MissEvent::new(access, out.victim_writeback()));
+                }
+            }
+        };
+        run(warmup, &mut sim, &mut misses);
+        let warmup_misses = misses.len();
+        sim.reset_stats();
+        run(measure, &mut sim, &mut misses);
+        L1Pass {
+            stats: sim.stats(),
+            misses,
+            warmup_misses,
+        }
+    }
+
+    /// Replays the miss stream into a cold `l2`, resetting its
+    /// statistics where the warm-up ends, and returns the two-level
+    /// statistics a [`TwoLevel`] run of the same references reports.
+    fn replay(&self, l2: CacheParams) -> HierarchyStats {
+        let mut below = [Level::new(l2, Replacement::Lru)];
+        let (warm, measured) = self.misses.split_at(self.warmup_misses);
+        for e in warm {
+            miss_step(&mut below, e.access(), e.victim_writeback());
+        }
+        below[0].reset_stats();
+        for e in measured {
+            miss_step(&mut below, e.access(), e.victim_writeback());
+        }
+        HierarchyStats {
+            l1: self.stats,
+            l2: below[0].demand,
+            l1_writebacks: self.stats.writebacks,
+        }
     }
 }
 
@@ -123,9 +228,10 @@ pub fn simulate_chain(
 /// A table of [`PairStats`] keyed by `(l1_bytes, l2_bytes)`, averaged over
 /// a suite mix.
 ///
-/// Built once per study and then queried by the optimisers; construction
-/// parallelises across size pairs on the shared bounded executor
-/// ([`nm_sweep::ParallelSweep`]).
+/// Built once per study and then queried by the optimisers. Construction
+/// runs one unit per (L1 size, suite) on the shared bounded executor
+/// ([`nm_sweep::ParallelSweep`]): each unit simulates its L1 once and
+/// replays the L1's miss stream into every L2 size in turn.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MissRateTable {
     entries: BTreeMap<(u64, u64), PairStats>,
@@ -155,12 +261,12 @@ impl MissRateTable {
         // Validate the grid up front, naming the offending level and
         // size, before delegating to the fallible path.
         for &b in l1_sizes {
-            if let Err(e) = CacheParams::new(b, 64, 4) {
+            if let Err(e) = CacheParams::new(b, TABLE_BLOCK_BYTES, 4) {
                 panic!("illegal L1 size {b} B: {e}");
             }
         }
         for &b in l2_sizes {
-            if let Err(e) = CacheParams::new(b, 64, 8) {
+            if let Err(e) = CacheParams::new(b, TABLE_BLOCK_BYTES, 8) {
                 panic!("illegal L2 size {b} B: {e}");
             }
         }
@@ -172,6 +278,11 @@ impl MissRateTable {
 
     /// Fallible [`build`](Self::build): rejects an illegal L1/L2 size
     /// with a typed error instead of panicking.
+    ///
+    /// Every pair's rates are bit-identical to averaging
+    /// [`simulate_pair`] over `suites` in order: the L1 never sees the
+    /// L2, and each L2 replay sees exactly the writebacks and demand
+    /// probes a [`TwoLevel`] run hands it.
     ///
     /// # Errors
     ///
@@ -187,22 +298,39 @@ impl MissRateTable {
     ) -> Result<Self, SimError> {
         // Validate the whole grid up front so an illegal size fails fast
         // with its value, instead of surfacing as a worker-thread panic.
-        let l1_params: Vec<(u64, CacheParams)> = l1_sizes
+        let l1_params: Vec<CacheParams> = l1_sizes
             .iter()
-            .map(|&b| CacheParams::new(b, 64, 4).map(|p| (b, p)))
+            .map(|&b| CacheParams::new(b, TABLE_BLOCK_BYTES, 4))
             .collect::<Result<_, _>>()?;
-        let l2_params: Vec<(u64, CacheParams)> = l2_sizes
+        let l2_params: Vec<CacheParams> = l2_sizes
             .iter()
-            .map(|&b| CacheParams::new(b, 64, 8).map(|p| (b, p)))
+            .map(|&b| CacheParams::new(b, TABLE_BLOCK_BYTES, 8))
             .collect::<Result<_, _>>()?;
-        let pairs: Vec<((u64, CacheParams), (u64, CacheParams))> = l1_params
+        let units: Vec<(CacheParams, SuiteKind)> = l1_params
             .iter()
-            .flat_map(|&l1| l2_params.iter().map(move |&l2| (l1, l2)))
+            .flat_map(|&l1| suites.iter().map(move |&suite| (l1, suite)))
             .collect();
 
-        let results = ParallelSweep::new().labeled("missrate-table").map(
-            &pairs,
-            |&((l1, l1p), (l2, l2p))| {
+        // One L2 resident at a time and the miss stream dropped at the
+        // end of its unit: a worker holds one L1, one L2 and one buffer.
+        let per_unit: Vec<Vec<PairStats>> =
+            ParallelSweep::new()
+                .labeled("missrate-table")
+                .map(&units, |&(l1, suite)| {
+                    let pass = L1Pass::run(l1, suite, seed, warmup, measure);
+                    nm_telemetry::counter_add(ARCHSIM_REFS, warmup + measure);
+                    nm_telemetry::counter_inc(ARCHSIM_L1_PASSES);
+                    nm_telemetry::counter_add(ARCHSIM_L2_REPLAYS, l2_params.len() as u64);
+                    l2_params
+                        .iter()
+                        .map(|&l2| PairStats::from_stats(&pass.replay(l2), measure))
+                        .collect()
+                });
+
+        // Average each pair over the suites in suite order.
+        let mut entries = BTreeMap::new();
+        for (i, &l1) in l1_sizes.iter().enumerate() {
+            for (j, &l2) in l2_sizes.iter().enumerate() {
                 let mut acc = PairStats {
                     l1_miss_rate: 0.0,
                     l2_local_miss_rate: 0.0,
@@ -210,9 +338,8 @@ impl MissRateTable {
                     write_fraction: 0.0,
                     measured: 0,
                 };
-                for &suite in suites {
-                    let mut w = suite.build(seed);
-                    let s = simulate_pair(l1p, l2p, w.as_mut(), warmup, measure);
+                for unit in &per_unit[i * suites.len()..(i + 1) * suites.len()] {
+                    let s = unit[j];
                     acc.l1_miss_rate += s.l1_miss_rate;
                     acc.l2_local_miss_rate += s.l2_local_miss_rate;
                     acc.l1_writeback_rate += s.l1_writeback_rate;
@@ -224,12 +351,12 @@ impl MissRateTable {
                 acc.l2_local_miss_rate /= n;
                 acc.l1_writeback_rate /= n;
                 acc.write_fraction /= n;
-                ((l1, l2), acc)
-            },
-        );
+                entries.insert((l1, l2), acc);
+            }
+        }
 
         Ok(MissRateTable {
-            entries: results.into_iter().collect(),
+            entries,
             suites: suites.iter().map(|s| s.name().to_owned()).collect(),
         })
     }
@@ -331,6 +458,29 @@ mod tests {
             simulate_chain(&[], &mut w, 0, 0).unwrap_err(),
             SimError::EmptyHierarchy
         );
+    }
+
+    #[test]
+    fn replay_reports_every_two_level_statistic() {
+        // Beyond the rates a table keeps: L2 writes and writebacks too,
+        // so the replayed stream carries each miss's kind exactly.
+        let mut l2_traffic = CacheStats::default();
+        for suite in SuiteKind::ALL {
+            for (l1, l2) in [(4 * 1024, 64 * 1024), (64 * 1024, 32 * 1024)] {
+                let l1 = CacheParams::new(l1, TABLE_BLOCK_BYTES, 4).unwrap();
+                let l2 = CacheParams::new(l2, TABLE_BLOCK_BYTES, 8).unwrap();
+                let mut h = TwoLevel::new(l1, l2, Replacement::Lru);
+                let mut w = suite.build(5);
+                h.run((0..10_000).map(|_| w.next_access()));
+                h.reset_stats();
+                h.run((0..20_000).map(|_| w.next_access()));
+                let replayed = L1Pass::run(l1, suite, 5, 10_000, 20_000).replay(l2);
+                assert_eq!(replayed, h.stats(), "{suite:?} {l1} {l2}");
+                l2_traffic.writes += replayed.l2.writes;
+                l2_traffic.writebacks += replayed.l2.writebacks;
+            }
+        }
+        assert!(l2_traffic.writes > 0 && l2_traffic.writebacks > 0);
     }
 
     #[test]

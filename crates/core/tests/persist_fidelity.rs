@@ -38,6 +38,7 @@ fn grid_point(index: u8) -> KnobPoint {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    #[test]
     fn front_round_trips_every_f64_bit_pattern(
         raw in proptest::collection::vec(
             (any::<u64>(), any::<u8>(), any::<u64>(), any::<u8>(), any::<u8>()),
@@ -60,6 +61,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn surface_round_trips_every_f64_bit_pattern(
         raw in proptest::collection::vec(
             ((any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),

@@ -10,6 +10,10 @@
 use nm_store::{Store, StoreError, SEGMENT_FILE};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Numbers the cases of `any_single_byte_corruption_is_caught`.
+static CORRUPTION_CASE: AtomicU64 = AtomicU64::new(0);
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nm-store-rt-{tag}-{}", std::process::id()));
@@ -152,8 +156,11 @@ proptest! {
         corrupt_at in any::<u64>(),
         flip in 1u8..=255,
     ) {
+        // A directory per case: cases may repeat their values, and a
+        // directory shared with another case could vanish mid-case.
+        let case = CORRUPTION_CASE.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!(
-            "nm-store-prop-{}-{corrupt_at}-{flip}", std::process::id()));
+            "nm-store-prop-{}-{case}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
             let store = Store::open(&dir).unwrap_or_else(|e| panic!("{e}"));
