@@ -279,7 +279,10 @@ pub struct TwoLevel {
 
 impl TwoLevel {
     /// Builds a cold hierarchy with a shared replacement policy.
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: two levels are non-zero
+    #[expect(
+        clippy::expect_used,
+        reason = "TwoLevel always hands MultiLevel two levels, so the level list is non-empty"
+    )]
     pub fn new(l1: CacheParams, l2: CacheParams, policy: Replacement) -> Self {
         TwoLevel {
             inner: MultiLevel::new(vec![l1, l2], policy).expect("two levels are not zero"),

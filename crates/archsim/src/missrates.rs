@@ -250,6 +250,10 @@ impl MissRateTable {
     /// large enough for its associativity), naming the offending size —
     /// table construction is static study configuration, and every size
     /// is validated before any simulation thread starts.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper: build() names an illegal size up front; try_build() is the fallible API"
+    )]
     pub fn build(
         l1_sizes: &[u64],
         l2_sizes: &[u64],

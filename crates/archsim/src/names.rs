@@ -2,9 +2,9 @@
 //!
 //! Every fixed metric name this crate records lives here as a `pub
 //! const`, and each one must also appear in the workspace-root
-//! `telemetry_names.txt` manifest — the D6 static-analysis rule
-//! (`nmcache analyze`) checks both directions, so a typo'd literal can
-//! never silently fork a time series.
+//! `telemetry_names.txt` manifest — the D6 test
+//! (`tests/telemetry_names.rs`) checks both directions, so a typo'd
+//! literal can never silently fork a time series.
 
 /// Span: one text-trace parse.
 pub const TRACE_READ: &str = "trace.read";

@@ -283,6 +283,10 @@ impl TraceWorkload {
     /// Panics on an empty trace — an endless generator needs at least one
     /// reference. Use [`try_new`](Self::try_new) where an empty trace is
     /// an input error rather than a bug.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking constructor; try_new() is the fallible API"
+    )]
     pub fn new(accesses: Vec<Access>) -> Self {
         Self::try_new(accesses).unwrap_or_else(|_| panic!("trace must contain at least one access"))
     }

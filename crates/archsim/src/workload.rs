@@ -89,7 +89,10 @@ impl std::fmt::Debug for Mix {
 }
 
 impl Workload for Mix {
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: components non-empty by construction
+    #[expect(
+        clippy::expect_used,
+        reason = "the mix's component list is non-empty by construction"
+    )]
     fn next_access(&mut self) -> Access {
         let total: f64 = self.components.iter().map(|(w, _)| w).sum();
         let mut draw = self.rng.gen::<f64>() * total;

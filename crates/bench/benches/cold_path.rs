@@ -11,6 +11,11 @@
 //! includes a speedup gauge against the `cold_sweep_ms` baseline recorded
 //! in `BENCH_eval.json`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "D3 exempts the bench harness: a benchmark measures wall time"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use nm_cache_core::amat::{memory_floor, MainMemory};
 use nm_cache_core::eval::{Evaluator, HierarchySpec};

@@ -89,7 +89,10 @@ impl DecayStudy {
     }
 
     /// Simulates one decay interval on the study's cache geometry.
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: geometry configs are legal
+    #[expect(
+        clippy::expect_used,
+        reason = "geometry configs are legal simulator configs by construction"
+    )]
     pub fn simulate_interval(&self, interval: u64) -> DecayOutcome {
         let config = self.study.circuit().config();
         let params = CacheParams::new(
@@ -113,7 +116,10 @@ impl DecayStudy {
 
     /// Picks the interval minimising `alive·array_leakage + refill power`
     /// for a given array leakage, from precomputed interval outcomes.
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: interval list non-empty
+    #[expect(
+        clippy::expect_used,
+        reason = "the interval list is non-empty; expect documents the invariant"
+    )]
     fn best_outcome(
         outcomes: &[DecayOutcome],
         array_leakage: Watts,

@@ -139,6 +139,10 @@ fn buffer_ok(values: &[f64]) -> bool {
 /// structure-of-arrays buffers; only a failed scan falls back to the
 /// point-major walk that names the first offending `(point, metric)` in
 /// the same order the pre-SoA validator reported it.
+#[expect(
+    clippy::unreachable,
+    reason = "the point walk re-checks exactly the values the buffer scan rejected, so it always names one"
+)]
 fn validate_surface(
     circuit: &CacheCircuit,
     component: ComponentId,
@@ -378,6 +382,10 @@ impl Evaluator {
     /// tuple sweep) pre-warms the cache so the jobs never start nested
     /// sweeps; it is also called internally by [`groups`](Self::groups),
     /// where an all-cached spec skips the sweep entirely.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper; try_ensure_surfaces() is the fallible API"
+    )]
     pub fn ensure_surfaces(&self, spec: &HierarchySpec) {
         if let Err(e) = self.try_ensure_surfaces(spec) {
             panic!("surface build failed: {e}");
@@ -461,8 +469,10 @@ impl Evaluator {
                 tables.push((circuit.tech().clone(), self.prims_table(circuit.tech())));
             }
         }
-        #[allow(clippy::expect_used)]
-        // fingerprinted in analyze.allow: table built in the loop above
+        #[expect(
+            clippy::expect_used,
+            reason = "every job's technology node gets a table in the loop directly above"
+        )]
         let table_for = |circuit: &CacheCircuit| -> &PrimsTable {
             tables
                 .iter()
@@ -601,6 +611,10 @@ impl Evaluator {
     }
 
     /// The system Pareto front of a spec, memoized per spec.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper; try_front() is the fallible API"
+    )]
     pub fn front(&self, spec: &HierarchySpec) -> Arc<Vec<FrontPoint>> {
         self.try_front(spec)
             .unwrap_or_else(|e| panic!("front build failed: {e}"))
@@ -713,6 +727,10 @@ impl Evaluator {
     ///
     /// Restricted fronts are not memoized — value-set restrictions are
     /// exponentially many — but the metric surfaces they re-price are.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper; try_solve_restricted() is the fallible API"
+    )]
     pub fn solve_restricted<C: Constraint>(
         &self,
         spec: &HierarchySpec,
@@ -778,6 +796,10 @@ impl Evaluator {
             .transpose()
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper; try_solution() is the fallible API"
+    )]
     fn solution(&self, spec: &HierarchySpec, point: &FrontPoint) -> Solution {
         self.try_solution(spec, point)
             .unwrap_or_else(|e| panic!("front point does not fit the spec: {e}"))

@@ -155,7 +155,10 @@ impl HierarchySpec {
     /// # Panics
     ///
     /// Panics when a miss rate is non-finite or outside `[0, 1]`.
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: documented panicking wrapper
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking wrapper; try_amat_weights is the fallible API"
+    )]
     pub fn amat_weights(miss_rates: &[f64]) -> Vec<f64> {
         Self::try_amat_weights(miss_rates).expect("miss rates must be probabilities")
     }
@@ -201,7 +204,10 @@ impl HierarchySpec {
     /// Panics when `choice` does not have exactly
     /// [`group_count`](Self::group_count) entries. Library code should
     /// prefer [`try_knobs_from_choice`](Self::try_knobs_from_choice).
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: length asserted above
+    #[expect(
+        clippy::expect_used,
+        reason = "the choice length is asserted directly above"
+    )]
     pub fn knobs_from_choice(&self, choice: &[KnobPoint]) -> Vec<ComponentKnobs> {
         assert_eq!(
             choice.len(),

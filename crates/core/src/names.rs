@@ -2,11 +2,11 @@
 //!
 //! Every fixed metric name this crate records lives here as a `pub
 //! const`, and each one must also appear in the workspace-root
-//! `telemetry_names.txt` manifest — the D6 static-analysis rule
-//! (`nmcache analyze`) checks both directions, so a typo'd literal can
-//! never silently fork a time series. The per-technology counters
-//! (`device.tech.<name>`) are derived from profile names at runtime and
-//! are exempt by design.
+//! `telemetry_names.txt` manifest — the D6 test
+//! (`tests/telemetry_names.rs`) checks both directions, so a typo'd
+//! literal can never silently fork a time series. The per-technology
+//! counters (`device.tech.<name>`) are derived from profile names at
+//! runtime and are exempt by design.
 
 /// Span: one `try_ensure_surfaces` bulk build.
 pub const EVAL_ENSURE_SURFACES: &str = "eval.ensure_surfaces";

@@ -98,7 +98,10 @@ pub fn component_sensitivity(
     let t_hi = clamp_t(at.tox().0 + DT);
     let t_lo = clamp_t(at.tox().0 - DT);
 
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: clamped to legal window
+    #[expect(
+        clippy::expect_used,
+        reason = "KnobPoint::new over values clamped into the axis range on the lines above"
+    )]
     let p = |v: f64, t: f64| KnobPoint::new(Volts(v), Angstroms(t)).expect("clamped to range");
     let (leak_vh, delay_vh) = eval(p(v_hi, at.tox().0));
     let (leak_vl, delay_vl) = eval(p(v_lo, at.tox().0));

@@ -57,7 +57,10 @@ impl VariationStudy {
 
     /// Shifts every component of an assignment by one die corner (global
     /// variation: all components move together).
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: clamped to legal window
+    #[expect(
+        clippy::expect_used,
+        reason = "KnobPoint::new over values clamped into the axis range"
+    )]
     fn shift(knobs: &ComponentKnobs, from: KnobPoint, to: KnobPoint) -> ComponentKnobs {
         let dv = to.vth().0 - from.vth().0;
         let dt = to.tox().0 - from.tox().0;
@@ -162,7 +165,10 @@ pub fn paper_16kb_variation(
 }
 
 impl Default for VariationStudy {
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: paper configuration is valid
+    #[expect(
+        clippy::expect_used,
+        reason = "Default over constant paper parameters validated by tests"
+    )]
     fn default() -> Self {
         paper_16kb_variation(200, 65).expect("paper configuration is valid")
     }

@@ -32,7 +32,7 @@ pub const TOX_RANGE: (f64, f64) = (10.0, 14.0);
 /// assert!(KnobPoint::new(Volts(0.55), Angstroms(11.0)).is_err());
 /// # Ok::<(), nm_device::DeviceError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct KnobPoint {
     vth: Volts,
     tox: Angstroms,
@@ -171,14 +171,20 @@ impl KnobGrid {
     }
 
     /// The paper's fine grid: 10 mV `Vth` steps, 0.5 Å `Tox` steps.
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: static grid sizes
+    #[expect(
+        clippy::expect_used,
+        reason = "paper() is built from static, non-degenerate grid sizes"
+    )]
     pub fn paper() -> Self {
         Self::uniform(31, 9).expect("static grid sizes are non-degenerate")
     }
 
     /// A coarse grid (7 × 5) for combinatorial experiments such as the
     /// (`nTox`, `nVth`) tuple-selection problem of Figure 2.
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: static grid sizes
+    #[expect(
+        clippy::expect_used,
+        reason = "coarse() is built from static, non-degenerate grid sizes"
+    )]
     pub fn coarse() -> Self {
         Self::uniform(7, 5).expect("static grid sizes are non-degenerate")
     }

@@ -2,11 +2,11 @@
 //!
 //! Every fixed metric name this crate records lives here as a `pub
 //! const`, and each one must also appear in the workspace-root
-//! `telemetry_names.txt` manifest — the D6 static-analysis rule
-//! (`nmcache analyze`) checks both directions, so a typo'd literal can
-//! never silently fork a time series. The per-technology counters
-//! (`device.tech.<name>`, recorded by `nm-cache-core`) are derived from
-//! profile names at runtime and are exempt by design.
+//! `telemetry_names.txt` manifest — the D6 test
+//! (`tests/telemetry_names.rs`) checks both directions, so a typo'd
+//! literal can never silently fork a time series. The per-technology
+//! counters (`device.tech.<name>`, recorded by `nm-cache-core`) are
+//! derived from profile names at runtime and are exempt by design.
 
 /// Span: one Eq. 1 leakage-surface fit.
 pub const FIT_LEAKAGE: &str = "device.fit.leakage";

@@ -321,6 +321,10 @@ impl TechProfile {
     /// baseline. Identity profiles must change **nothing**: consumers
     /// skip the transform entirely, keeping all-SRAM studies bit-for-bit
     /// identical to the pre-technology-axis engine.
+    #[expect(
+        clippy::float_cmp,
+        reason = "identity-profile fast path: scale factors written as literal 1.0 are bit-exact by construction"
+    )]
     pub fn is_identity(&self) -> bool {
         self.read_energy_scale == 1.0
             && self.write_energy_scale == 1.0

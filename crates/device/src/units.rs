@@ -25,6 +25,13 @@
 //! assert_eq!(ratio, 2.0);
 //! ```
 
+// The ban reaches into `#[derive(PartialOrd)]`, whose impls an attribute
+// on the struct does not cover, so the exemption is module-wide.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "derived PartialOrd gives each unit the same `<` as its f64; sorts use total_cmp"
+)]
+
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;

@@ -140,7 +140,10 @@ impl MonteCarlo {
 
     /// Draws one die corner around `nominal`, clamped to the legal knob
     /// window (a fab would not ship outside-spec material).
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: clamped to legal window
+    #[expect(
+        clippy::expect_used,
+        reason = "Vth and Tox are clamped into the legal knob window on the lines above"
+    )]
     pub fn sample_corner(&mut self, nominal: KnobPoint) -> KnobPoint {
         let dv = gaussian(&mut self.rng) * self.model.sigma_vth.0;
         let dt = gaussian(&mut self.rng) * self.model.sigma_tox.0;

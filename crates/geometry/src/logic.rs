@@ -218,7 +218,10 @@ pub fn repeated_wire_with<P: PointPrims>(
 /// A small discrete search (rather than the classic closed form) so it
 /// remains exact under this model's near-threshold resistance term; used
 /// to sanity-check the fixed-pitch default in [`repeated_wire`].
-#[allow(clippy::expect_used)] // fingerprinted in analyze.allow: fixed search space is non-empty
+#[expect(
+    clippy::expect_used,
+    reason = "exhaustive search over fixed non-empty ranges always produces a best candidate"
+)]
 pub fn optimal_repeaters(
     tech: &TechnologyNode,
     knobs: KnobPoint,

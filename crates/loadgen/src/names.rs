@@ -1,6 +1,7 @@
 //! Canonical telemetry names recorded by the load generator. Every
 //! constant here is mirrored in the workspace `telemetry_names.txt`
-//! manifest; `nm-analyze`'s D6 rule checks the two stay in sync.
+//! manifest; the D6 test (`tests/telemetry_names.rs`) checks the two
+//! stay in sync.
 
 /// Counter: total queries replayed this run.
 pub const LOADGEN_QUERIES: &str = "loadgen.queries";

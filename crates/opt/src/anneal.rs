@@ -151,7 +151,10 @@ pub fn anneal_under<C: Constraint>(
 /// # Panics
 ///
 /// Panics when `groups` is empty or `restarts == 0`.
-#[allow(clippy::expect_used)] // fingerprinted in analyze.allow: restarts >= 1 asserted above
+#[expect(
+    clippy::expect_used,
+    reason = "restarts >= 1 is asserted at entry, so at least one restart recorded a result"
+)]
 pub fn anneal_restarts(
     groups: &[Group],
     deadline: f64,

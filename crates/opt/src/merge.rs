@@ -295,7 +295,10 @@ impl MergeBase {
 ///
 /// Panics when `groups` is empty — a system needs at least one group.
 /// Callers that must not abort use [`try_system_front`].
-#[allow(clippy::expect_used)] // fingerprinted in analyze.allow: documented panicking wrapper
+#[expect(
+    clippy::expect_used,
+    reason = "documented panicking wrapper: group emptiness is asserted directly above; try_system_front is the fallible API"
+)]
 pub fn system_front(groups: &[Group]) -> Vec<FrontPoint> {
     assert!(!groups.is_empty(), "system_front needs at least one group");
     try_system_front(groups).expect("group emptiness was just checked")
@@ -315,7 +318,10 @@ pub fn try_system_front(groups: &[Group]) -> Result<Vec<FrontPoint>, EmptySystem
 /// # Panics
 ///
 /// Panics when `groups` is empty.
-#[allow(clippy::expect_used)] // fingerprinted in analyze.allow: documented panicking wrapper
+#[expect(
+    clippy::expect_used,
+    reason = "documented panicking wrapper: group emptiness is asserted directly above; MergeBase::try_with_base is the fallible API"
+)]
 pub fn system_front_with_base(groups: &[Group], base: &MergeBase) -> (Vec<FrontPoint>, usize) {
     assert!(!groups.is_empty(), "system_front needs at least one group");
     let (merged, reused) =

@@ -1,7 +1,6 @@
 //! FNV-1a hashing — the store's checksum and content-key primitive.
 //!
-//! FNV-1a is not cryptographic; it is used here the way the rest of the
-//! workspace uses it (the `nm-analyze` allowlist fingerprints): a fast,
+//! FNV-1a is not cryptographic; it is used here as a fast,
 //! dependency-free, byte-stable hash whose value never changes across
 //! platforms or compiler versions. Record checksums guard against torn
 //! writes and bit rot, not adversaries; content keys are 128 bits wide

@@ -52,6 +52,11 @@
 //! and item index, so all of the above is testable in CI without
 //! wall-clock randomness.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "D5: nm-sweep is the bounded executor; its scoped workers are the only threads"
+)]
+
 use nm_telemetry::Stopwatch;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -407,7 +412,10 @@ impl ParallelSweep {
             poisoned_workers: 0,
         });
 
-        #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: executor fill invariant
+        #[expect(
+            clippy::expect_used,
+            reason = "each slot is filled exactly once by the worker that owns its index"
+        )]
         let results: Vec<R> = slots
             .into_iter()
             .map(|r| r.expect("every index was claimed exactly once"))
@@ -453,6 +461,10 @@ impl ParallelSweep {
         // and the degraded-serial paths. In degraded mode an injected
         // worker-kill is contained like an ordinary panic — the calling
         // thread must survive.
+        #[expect(
+            clippy::panic,
+            reason = "fault injection: deliberate panics exercise the executor's containment path"
+        )]
         let run_item = |i: usize, degraded: bool| -> Result<R, ItemFault> {
             let mut last = String::new();
             let item_start = item_hist.as_ref().map(|_| Stopwatch::start());
@@ -565,7 +577,10 @@ impl ParallelSweep {
             }
         }
 
-        #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: executor fill invariant
+        #[expect(
+            clippy::expect_used,
+            reason = "each slot is filled exactly once, by its owning worker or the serial fallback"
+        )]
         let results: Vec<Result<R, ItemFault>> = slots
             .into_iter()
             .map(|r| r.expect("every index ran in the pool or the serial fallback"))
@@ -1007,11 +1022,11 @@ mod tests {
 
     #[test]
     fn try_map_retries_deterministically() {
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
         use std::sync::Mutex;
         // Item 3 fails twice then succeeds; a 3-attempt policy recovers
         // it and records exactly 2 retries.
-        let attempts: Mutex<HashMap<usize, usize>> = Mutex::new(HashMap::new());
+        let attempts: Mutex<BTreeMap<usize, usize>> = Mutex::new(BTreeMap::new());
         let items: Vec<usize> = (0..8).collect();
         let run = ParallelSweep::new()
             .with_workers(2)

@@ -2,8 +2,9 @@
 //!
 //! Reading a wall clock inside a result-producing crate is a
 //! determinism hazard: it invites time-dependent control flow and it
-//! scatters `Instant::now()` call sites that the D3 static-analysis
-//! rule (`nm-analyze`) would have to audit one by one. Instead, every
+//! scatters `Instant::now()` call sites that the D3 lint (clippy's
+//! `disallowed_methods`, configured in `clippy.toml`) would have to
+//! exempt one by one. Instead, every
 //! crate that needs to *measure* something — the sweep executor's wall
 //! and per-item timings, the evaluator's surface-build histogram — goes
 //! through this [`Stopwatch`], so the only crate that touches

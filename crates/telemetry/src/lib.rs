@@ -55,6 +55,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "D3: nm-telemetry is the one crate that reads clocks"
+)]
 
 pub mod clock;
 mod registry;
@@ -69,7 +73,7 @@ pub use span::{SpanGuard, SpanRecord};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
 /// Verbosity of the human-readable one-line span summaries on stderr.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LogLevel {
     /// No logging (the default).
     #[default]

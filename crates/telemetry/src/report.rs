@@ -232,7 +232,7 @@ pub fn write_chrome_trace(snapshot: &Snapshot, path: &Path) -> io::Result<()> {
 /// `BTreeMap`s or fixed sequences, which is what makes reports stable.
 ///
 /// Public so sibling crates that emit machine-readable artifacts
-/// (`nm-analyze`'s findings report, the bench harness) render them
+/// (the bench harness) render them
 /// through the same writer and inherit the same float formatting,
 /// escaping and stable-layout conventions as the metrics report.
 pub struct JsonWriter {

@@ -1,6 +1,3 @@
-// Vendored shim: lint-exempt from the workspace unwrap/expect audit.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 //! Offline stand-in for the subset of `criterion` this workspace's bench
 //! harness uses. It is a *timer*, not a statistics engine: every
 //! registered benchmark runs `sample_size` iterations after one warm-up
@@ -13,6 +10,11 @@
 //! This keeps every figure/table artefact in `crates/bench` runnable
 //! (`cargo bench`) without crates.io access. If the real crate becomes
 //! available the workspace dependency can be pointed back at it.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "vendored stand-in for an external crate: the workspace lint policy covers this project's own code"
+)]
 
 pub use std::hint::black_box;
 

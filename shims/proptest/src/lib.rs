@@ -1,6 +1,3 @@
-// Vendored shim: lint-exempt from the workspace unwrap/expect audit.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 //! Offline stand-in for the subset of `proptest` this workspace uses.
 //!
 //! Semantics: each `proptest!` test samples its strategies
@@ -14,6 +11,11 @@
 //! `prop::collection::vec`, `prop::bool::ANY`, `prop_map`,
 //! `prop_filter_map`, and the `proptest!` / `prop_assert!` /
 //! `prop_assert_eq!` / `prop_assert_ne!` macros.
+
+#![expect(
+    clippy::panic,
+    reason = "vendored stand-in for an external crate: the workspace lint policy covers this project's own code"
+)]
 
 pub mod arbitrary;
 pub mod bool;

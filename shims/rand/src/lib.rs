@@ -1,6 +1,3 @@
-// Vendored shim: lint-exempt from the workspace unwrap/expect audit.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 //! Offline stand-in for the subset of the `rand` 0.8 API this workspace
 //! uses. The container this repository builds in has no crates.io access,
 //! so the workspace path-depends on this shim instead (see

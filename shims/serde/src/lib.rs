@@ -1,6 +1,3 @@
-// Vendored shim: lint-exempt from the workspace unwrap/expect audit.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 //! Offline stand-in for the subset of `serde` this workspace uses.
 //!
 //! The build container has no crates.io access, so the workspace
@@ -15,6 +12,11 @@
 //! shapes present in this workspace: named-field structs, tuple/newtype
 //! structs, and enums with unit, tuple and struct variants. Field
 //! attributes (`#[serde(...)]`) are *not* supported.
+
+#![expect(
+    clippy::expect_used,
+    reason = "vendored stand-in for an external crate: the workspace lint policy covers this project's own code"
+)]
 
 pub use serde_derive::{Deserialize, Serialize};
 

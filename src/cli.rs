@@ -33,12 +33,6 @@ COMMANDS:
   loadgen              Replay a seeded query mix against one evaluator and
                        publish p50/p95/p99 latency per query class
   benchdiff            Compare two telemetry reports and gate on p99 regression
-  analyze              Run the D1-D6 determinism & safety lints over the workspace
-
-ANALYZE OPTIONS (only valid after `analyze`):
-  --json <PATH>        Also write the findings as schema-versioned JSON
-  --rules <IDS>        Comma-separated rule subset, e.g. D1,D4 (default all)
-  --root <PATH>        Workspace root to scan (default .)
 
 CAMPAIGN OPTIONS (only valid after `campaign`):
   --out <DIR>          Campaign directory: checkpoint + persistent store (required)
@@ -100,9 +94,9 @@ OPTIONS:
   -h, --help           Show this help
 
 EXIT CODES:
-  0  success (for analyze: no findings, no stale allowlist entries)
-  2  usage error (unknown command/flag, bad value, malformed analyze.allow)
-  3  study or model error; for analyze: findings or stale allowlist entries
+  0  success
+  2  usage error (unknown command/flag, bad value)
+  3  study or model error
   4  trace format error (parse failure, corrupt/truncated binary)
   5  I/O error (missing trace file, unwritable CSV path)
   6  persistence error (corrupt or mismatched campaign checkpoint,
@@ -150,26 +144,10 @@ pub enum Command {
     Loadgen(LoadgenOptions),
     /// Report comparison with the p99 SLO gate.
     Benchdiff(BenchdiffOptions),
-    /// Static-analysis run (D1–D6 lints).
-    Analyze(AnalyzeOptions),
     /// Experiment registry listing.
     List,
     /// Help requested.
     Help,
-}
-
-/// Options for the `analyze` subcommand (distinct from the study
-/// [`Options`]: the lint pass shares none of the sweep knobs).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AnalyzeOptions {
-    /// JSON report output path (`--json`).
-    pub json: Option<PathBuf>,
-    /// Rule-id subset from `--rules` (e.g. `["D1", "D4"]`); empty means
-    /// all rules. Validated against the real rule set by the runner so
-    /// the parser stays dependency-free.
-    pub rules: Vec<String>,
-    /// Workspace root to scan (`--root`, default `.`).
-    pub root: Option<PathBuf>,
 }
 
 /// Options for the `campaign` subcommand (distinct from the study
@@ -395,9 +373,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, CliErro
     if cmd == "-h" || cmd == "--help" || cmd == "help" {
         return Ok(Command::Help);
     }
-    if cmd == "analyze" {
-        return parse_analyze(args);
-    }
     if cmd == "campaign" {
         return parse_campaign(args);
     }
@@ -553,42 +528,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, CliErro
         other => return Err(CliError(format!("unknown command {other:?}"))),
     };
     Ok(command)
-}
-
-/// Parses the flags of the `analyze` subcommand.
-fn parse_analyze<I: Iterator<Item = String>>(args: I) -> Result<Command, CliError> {
-    let mut opts = AnalyzeOptions::default();
-    let rest: Vec<String> = args.collect();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        rest.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("flag {flag} needs a value")))
-    };
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "-h" | "--help" => return Ok(Command::Help),
-            "--json" => opts.json = Some(PathBuf::from(value(&mut i, "--json")?)),
-            "--root" => opts.root = Some(PathBuf::from(value(&mut i, "--root")?)),
-            "--rules" => {
-                let v = value(&mut i, "--rules")?;
-                let ids: Vec<String> = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-                if ids.is_empty() {
-                    return Err(CliError(format!("--rules {v:?} names no rules")));
-                }
-                opts.rules.extend(ids);
-            }
-            other => return Err(CliError(format!("unknown flag {other:?} for analyze"))),
-        }
-        i += 1;
-    }
-    Ok(Command::Analyze(opts))
 }
 
 /// Parses a comma-separated list, one parsed element per non-empty
@@ -983,32 +922,6 @@ mod tests {
         assert!(parse_str("e8 --l3-size 0").is_err());
         assert!(parse_str("e8 --l3-size lots").is_err());
         assert!(parse_str("e8 --l3-tech").is_err());
-    }
-
-    #[test]
-    fn analyze_parses_with_its_own_flags() {
-        match parse_str("analyze").unwrap() {
-            Command::Analyze(o) => {
-                assert_eq!(o.json, None);
-                assert!(o.rules.is_empty());
-                assert_eq!(o.root, None);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse_str("analyze --json out.json --rules D1,D4 --root sub/dir").unwrap() {
-            Command::Analyze(o) => {
-                assert_eq!(o.json.unwrap(), PathBuf::from("out.json"));
-                assert_eq!(o.rules, vec!["D1".to_owned(), "D4".to_owned()]);
-                assert_eq!(o.root.unwrap(), PathBuf::from("sub/dir"));
-            }
-            other => panic!("{other:?}"),
-        }
-        // Study flags are not valid after `analyze`, and vice versa.
-        assert!(parse_str("analyze --quick").is_err());
-        assert!(parse_str("analyze --rules").is_err());
-        assert!(parse_str("analyze --rules ,").is_err());
-        assert!(parse_str("fig1 --json out.json").is_err());
-        assert_eq!(parse_str("analyze --help"), Ok(Command::Help));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 pub mod cli;
 
-pub use nm_analyze as analyze;
 pub use nm_archsim as archsim;
 pub use nm_cache_core as core;
 pub use nm_device as device;

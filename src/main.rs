@@ -1,6 +1,5 @@
 //! `nmcache` — reproduce the DATE 2005 experiments from the command line.
 
-use nmcache::analyze::{self, rules::RuleId, AnalyzeError};
 use nmcache::archsim::cache::{CacheParams, Replacement};
 use nmcache::archsim::hierarchy::TwoLevel;
 use nmcache::archsim::trace::{
@@ -9,8 +8,8 @@ use nmcache::archsim::trace::{
 use nmcache::archsim::workload::{SuiteKind, Workload};
 use nmcache::archsim::MissRateTable;
 use nmcache::cli::{
-    self, AnalyzeOptions, BenchdiffOptions, CampaignOptions, CliError, Command, LoadgenOptions,
-    LogLevelArg, Options, SchemeArg,
+    self, BenchdiffOptions, CampaignOptions, CliError, Command, LoadgenOptions, LogLevelArg,
+    Options, SchemeArg,
 };
 use nmcache::core::amat::MainMemory;
 use nmcache::core::campaign::{Campaign, CampaignConfig, CampaignError};
@@ -44,10 +43,6 @@ enum AppError {
     Trace(TraceError),
     /// The filesystem said no (missing trace file, unwritable CSV, ...).
     Io(std::io::Error),
-    /// `nmcache analyze` found violations or stale allowlist entries.
-    /// The findings themselves were already printed; this only carries
-    /// the summary line for the final `error:` message.
-    Findings(String),
     /// The persistence layer failed: a corrupt or mismatched campaign
     /// checkpoint, a checkpoint write failure, or `--require-store`
     /// with no usable store.
@@ -63,7 +58,7 @@ impl AppError {
     fn exit_code(&self) -> u8 {
         match self {
             AppError::Usage(_) => 2,
-            AppError::Study(_) | AppError::Findings(_) => 3,
+            AppError::Study(_) => 3,
             AppError::Trace(_) => 4,
             AppError::Io(_) => 5,
             AppError::Store(_) => 6,
@@ -79,7 +74,6 @@ impl fmt::Display for AppError {
             AppError::Study(e) => write!(f, "{e}"),
             AppError::Trace(e) => write!(f, "trace: {e}"),
             AppError::Io(e) => write!(f, "{e}"),
-            AppError::Findings(summary) => write!(f, "{summary}"),
             AppError::Store(e) => write!(f, "{e}"),
             AppError::Slo(summary) => write!(f, "{summary}"),
         }
@@ -129,19 +123,6 @@ impl From<CampaignError> for AppError {
         match e {
             CampaignError::Study(e) => AppError::Study(e),
             other => AppError::Store(other.to_string()),
-        }
-    }
-}
-
-impl From<AnalyzeError> for AppError {
-    fn from(e: AnalyzeError) -> Self {
-        // Unreadable files are I/O failures (exit 5); a malformed
-        // allowlist is a usage problem (exit 2) — the side file is part
-        // of the invocation, like a bad flag value.
-        if e.is_io() {
-            AppError::Io(std::io::Error::other(e.to_string()))
-        } else {
-            AppError::Usage(CliError(e.to_string()))
         }
     }
 }
@@ -300,7 +281,6 @@ fn command_name(command: &Command) -> &'static str {
         Command::Campaign(_) => "campaign",
         Command::Loadgen(_) => "loadgen",
         Command::Benchdiff(_) => "benchdiff",
-        Command::Analyze(_) => "analyze",
         Command::List => "list",
         Command::Help => "help",
     }
@@ -326,7 +306,6 @@ fn options_of(command: &Command) -> Option<&Options> {
         Command::Campaign(_)
         | Command::Loadgen(_)
         | Command::Benchdiff(_)
-        | Command::Analyze(_)
         | Command::List
         | Command::Help => None,
     }
@@ -619,7 +598,6 @@ fn run(command: Command) -> Result<(), AppError> {
         Command::Campaign(opts) => run_campaign(&opts),
         Command::Loadgen(opts) => run_loadgen(&opts),
         Command::Benchdiff(opts) => run_benchdiff(&opts),
-        Command::Analyze(opts) => run_analyze(&opts),
     }
 }
 
@@ -813,50 +791,6 @@ fn run_campaign(opts: &CampaignOptions) -> Result<(), AppError> {
         );
     }
     Ok(())
-}
-
-/// Runs the D1–D6 static-analysis pass and maps the outcome onto the
-/// exit-code discipline: clean → 0, findings or stale allowlist
-/// entries → 3, malformed side file → 2, unreadable file → 5.
-fn run_analyze(opts: &AnalyzeOptions) -> Result<(), AppError> {
-    let root = opts.root.clone().unwrap_or_else(|| ".".into());
-    let mut config = analyze::Config::for_root(root);
-    if !opts.rules.is_empty() {
-        let mut rules = Vec::new();
-        for name in &opts.rules {
-            let rule = RuleId::from_name(name)
-                .ok_or_else(|| CliError(format!("unknown rule {name:?} (expected D1..D6)")))?;
-            if !rules.contains(&rule) {
-                rules.push(rule);
-            }
-        }
-        config.rules = rules;
-    }
-    let analysis = analyze::analyze(&config)?;
-    print!("{}", analyze::report::render_text(&analysis));
-    if let Some(path) = &opts.json {
-        std::fs::write(path, analyze::report::render_json(&analysis)).map_err(|e| {
-            std::io::Error::new(
-                e.kind(),
-                format!("cannot write findings report {}: {e}", path.display()),
-            )
-        })?;
-        eprintln!("[analyze] {}", path.display());
-    }
-    if analysis.is_clean() {
-        Ok(())
-    } else {
-        Err(AppError::Findings(format!(
-            "analyze: {} finding(s), {} stale allowlist entr{}",
-            analysis.findings.len(),
-            analysis.stale.len(),
-            if analysis.stale.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-        )))
-    }
 }
 
 /// Resolves a `--l<i>-tech` name; `None` means the SRAM baseline.

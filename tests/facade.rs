@@ -35,6 +35,10 @@ fn simulators_are_send() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test spawns raw threads to prove a study is Send + Sync"
+)]
 fn a_study_can_be_shared_across_threads() {
     let study = std::sync::Arc::new(SingleCacheStudy::paper_16kb().expect("valid"));
     let deadline = study.delay_sweep(4)[2];
