@@ -244,45 +244,6 @@ impl MissRateTable {
     ///
     /// Block size is 64 B; L1 is 4-way, L2 8-way (paper-era defaults).
     ///
-    /// # Panics
-    ///
-    /// Panics if a size is not a legal [`CacheParams`] (power of two and
-    /// large enough for its associativity), naming the offending size —
-    /// table construction is static study configuration, and every size
-    /// is validated before any simulation thread starts.
-    #[expect(
-        clippy::panic,
-        reason = "documented panicking wrapper: build() names an illegal size up front; try_build() is the fallible API"
-    )]
-    pub fn build(
-        l1_sizes: &[u64],
-        l2_sizes: &[u64],
-        suites: &[SuiteKind],
-        seed: u64,
-        warmup: u64,
-        measure: u64,
-    ) -> Self {
-        // Validate the grid up front, naming the offending level and
-        // size, before delegating to the fallible path.
-        for &b in l1_sizes {
-            if let Err(e) = CacheParams::new(b, TABLE_BLOCK_BYTES, 4) {
-                panic!("illegal L1 size {b} B: {e}");
-            }
-        }
-        for &b in l2_sizes {
-            if let Err(e) = CacheParams::new(b, TABLE_BLOCK_BYTES, 8) {
-                panic!("illegal L2 size {b} B: {e}");
-            }
-        }
-        match Self::try_build(l1_sizes, l2_sizes, suites, seed, warmup, measure) {
-            Ok(table) => table,
-            Err(e) => panic!("illegal cache size in miss-rate grid: {e}"),
-        }
-    }
-
-    /// Fallible [`build`](Self::build): rejects an illegal L1/L2 size
-    /// with a typed error instead of panicking.
-    ///
     /// Every pair's rates are bit-identical to averaging
     /// [`simulate_pair`] over `suites` in order: the L1 never sees the
     /// L2, and each L2 replay sees exactly the writebacks and demand
@@ -489,14 +450,15 @@ mod tests {
 
     #[test]
     fn table_covers_all_pairs() {
-        let t = MissRateTable::build(
+        let t = MissRateTable::try_build(
             &[4 * 1024, 16 * 1024],
             &[128 * 1024, 512 * 1024],
             &[SuiteKind::Spec2000],
             7,
             5_000,
             10_000,
-        );
+        )
+        .expect("legal sizes");
         assert_eq!(t.len(), 4);
         assert!(!t.is_empty());
         assert!(t.get(4 * 1024, 128 * 1024).is_some());
@@ -506,14 +468,15 @@ mod tests {
 
     #[test]
     fn l2_miss_rate_falls_with_l2_size() {
-        let t = MissRateTable::build(
+        let t = MissRateTable::try_build(
             &[16 * 1024],
             &[128 * 1024, 512 * 1024, 2 * 1024 * 1024],
             &[SuiteKind::TpcC],
             13,
             100_000,
             150_000,
-        );
+        )
+        .expect("legal sizes");
         let m128 = t.get(16 * 1024, 128 * 1024).unwrap().l2_local_miss_rate;
         let m2m = t
             .get(16 * 1024, 2 * 1024 * 1024)
@@ -524,35 +487,33 @@ mod tests {
 
     #[test]
     fn l1_miss_rate_monotone_in_l1_size() {
-        let t = MissRateTable::build(
+        let t = MissRateTable::try_build(
             &[4 * 1024, 64 * 1024],
             &[512 * 1024],
             &[SuiteKind::Spec2000, SuiteKind::SpecWeb],
             17,
             50_000,
             80_000,
-        );
+        )
+        .expect("legal sizes");
         let m4 = t.get(4 * 1024, 512 * 1024).unwrap().l1_miss_rate;
         let m64 = t.get(64 * 1024, 512 * 1024).unwrap().l1_miss_rate;
         assert!(m64 <= m4, "64K {m64} > 4K {m4}");
     }
 
     #[test]
-    #[should_panic(expected = "illegal L1 size 3000 B")]
-    fn illegal_l1_size_is_named_before_any_simulation() {
-        let _ = MissRateTable::build(&[3000], &[256 * 1024], &[SuiteKind::Spec2000], 1, 10, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "illegal L2 size 100000 B")]
-    fn illegal_l2_size_is_named_before_any_simulation() {
-        let _ = MissRateTable::build(&[16 * 1024], &[100_000], &[SuiteKind::Spec2000], 1, 10, 10);
+    fn illegal_sizes_are_named_before_any_simulation() {
+        for (l1, l2, named) in [(3000, 256 * 1024, "3000"), (16 * 1024, 100_000, "100000")] {
+            let err = MissRateTable::try_build(&[l1], &[l2], &[SuiteKind::Spec2000], 1, 10, 10)
+                .expect_err("not a power of two");
+            assert!(err.to_string().contains(named), "{err}");
+        }
     }
 
     #[test]
     fn deterministic_tables() {
         let build = || {
-            MissRateTable::build(
+            MissRateTable::try_build(
                 &[8 * 1024],
                 &[256 * 1024],
                 &[SuiteKind::SpecWeb],
@@ -560,6 +521,7 @@ mod tests {
                 5_000,
                 10_000,
             )
+            .expect("legal sizes")
         };
         assert_eq!(build(), build());
     }

@@ -25,7 +25,8 @@ use nm_device::units::Seconds;
 use nm_device::{KnobGrid, TechnologyNode};
 use nm_geometry::{CacheCircuit, CacheConfig, ComponentKnobs};
 use nm_opt::constraint::best_under_deadline;
-use nm_opt::merge::{system_front, system_front_with_base, MergeBase};
+use nm_opt::merge::{try_system_front, MergeBase};
+use nm_opt::Group;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -94,7 +95,7 @@ fn direct_sweep(
             stats.l1_miss_rate,
             CostKind::LeakagePower,
         );
-        let front = system_front(&groups);
+        let front = try_system_front(&groups).expect("non-empty system");
         if let Some(point) = best_under_deadline(&front, budget) {
             black_box(knobs_from_choice(SCHEME, &point.choice));
             feasible += 1;
@@ -108,7 +109,7 @@ fn bench(c: &mut Criterion) {
     let l2_sizes = TwoLevelStudy::standard_l2_sizes();
     // Miss rates and the AMAT target are inputs to the sweep, not part of
     // the cold path being measured; compute them once up front.
-    let warm = TwoLevelStudy::standard(true);
+    let warm = TwoLevelStudy::standard(true).expect("standard sizes are legal");
     let target = warm
         .amat_target(L1_BYTES, &l2_sizes, SLACK)
         .expect("sizes simulated");
@@ -164,11 +165,11 @@ fn bench(c: &mut Criterion) {
             0.05,
             CostKind::LeakagePower,
         );
-    let groups = eval.groups(&spec);
-    let front = system_front(&groups);
+    let groups = eval.try_groups(&spec).expect("healthy build");
+    let front = try_system_front(&groups).expect("non-empty system");
     let t0 = Instant::now();
     for _ in 0..MERGE_RUNS {
-        black_box(system_front(black_box(&groups)));
+        black_box(try_system_front(black_box(&groups)).expect("non-empty system"));
     }
     let merge_ns = t0.elapsed().as_secs_f64() * 1e9 / f64::from(MERGE_RUNS);
     let merge_ns_per_front_point = merge_ns / front.len().max(1) as f64;
@@ -176,9 +177,13 @@ fn bench(c: &mut Criterion) {
     // Incremental re-merge with the whole prefix cached (the memoized
     // re-query shape): only the last layer re-merges.
     let base = MergeBase::try_new(&groups).expect("non-empty system");
+    let incremental_front = |groups: &[Group]| {
+        let (merged, reused) = MergeBase::try_new_with_bases(groups, [&base]).expect("non-empty");
+        (merged.front(), reused)
+    };
     let t0 = Instant::now();
     for _ in 0..MERGE_RUNS {
-        black_box(system_front_with_base(black_box(&groups), &base));
+        black_box(incremental_front(black_box(&groups)));
     }
     let incr_ns = t0.elapsed().as_secs_f64() * 1e9 / f64::from(MERGE_RUNS);
     let incr_ns_per_front_point = incr_ns / front.len().max(1) as f64;
@@ -240,10 +245,10 @@ fn bench(c: &mut Criterion) {
     println!("[artifact] {}", path.display());
 
     c.bench_function("cold/merge_full", |b| {
-        b.iter(|| black_box(system_front(black_box(&groups))))
+        b.iter(|| black_box(try_system_front(black_box(&groups))))
     });
     c.bench_function("cold/merge_incremental", |b| {
-        b.iter(|| black_box(system_front_with_base(black_box(&groups), &base)))
+        b.iter(|| black_box(incremental_front(black_box(&groups))))
     });
 }
 

@@ -19,7 +19,7 @@ use nm_device::units::Seconds;
 use nm_device::TechnologyNode;
 use nm_geometry::{CacheCircuit, CacheConfig, ComponentKnobs};
 use nm_opt::constraint::best_under_deadline;
-use nm_opt::merge::system_front;
+use nm_opt::merge::try_system_front;
 use nm_telemetry::Stopwatch;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -69,7 +69,7 @@ fn direct_sweep(
             stats.l1_miss_rate,
             CostKind::LeakagePower,
         );
-        let front = system_front(&groups);
+        let front = try_system_front(&groups).expect("non-empty system");
         if let Some(point) = best_under_deadline(&front, budget) {
             black_box(knobs_from_choice(SCHEME, &point.choice));
             feasible += 1;
@@ -98,7 +98,7 @@ fn mean_ms(seconds: &[f64]) -> f64 {
 }
 
 fn bench(c: &mut Criterion) {
-    let study = TwoLevelStudy::standard(true);
+    let study = TwoLevelStudy::standard(true).expect("standard sizes are legal");
     let tech = TechnologyNode::bptm65();
     let l2_sizes = TwoLevelStudy::standard_l2_sizes();
     let target = study

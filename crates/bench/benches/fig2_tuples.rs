@@ -18,7 +18,9 @@ use std::hint::black_box;
 fn build_study() -> MemorySystemStudy {
     let l1 = 16 * 1024;
     let l2 = 1024 * 1024;
-    let missrates = MissRateTable::build(&[l1], &[l2], &STANDARD_SUITES, 2005, 300_000, 600_000);
+    let missrates =
+        MissRateTable::try_build(&[l1], &[l2], &STANDARD_SUITES, 2005, 300_000, 600_000)
+            .expect("legal sizes");
     let stats = *missrates.get(l1, l2).expect("pair simulated");
     MemorySystemStudy::new(
         l1,
@@ -37,7 +39,9 @@ fn bench(c: &mut Criterion) {
 
     let study = build_study();
     let targets = study.amat_sweep(9);
-    let series = study.tuple_curves(&TupleCounts::FIGURE2, &targets);
+    let series = study
+        .tuple_curves(&TupleCounts::FIGURE2, &targets)
+        .expect("healthy build");
     emit_series(
         "fig2_tuples",
         "Figure 2: (Tox, Vth) tuple problem",

@@ -12,7 +12,7 @@ use nm_bench::emit_series;
 use nm_cache_core::groups::{cache_groups, CostKind, Scheme};
 use nm_cache_core::report::Series;
 use nm_cache_core::single::SingleCacheStudy;
-use nm_opt::merge::system_front;
+use nm_opt::merge::try_system_front;
 use std::hint::black_box;
 
 fn fronts(study: &SingleCacheStudy) -> Vec<Series> {
@@ -26,7 +26,7 @@ fn fronts(study: &SingleCacheStudy) -> Vec<Series> {
                 1.0,
                 CostKind::LeakagePower,
             );
-            let front = system_front(&groups);
+            let front = try_system_front(&groups).expect("non-empty system");
             let mut s = Series::new(format!("scheme {}", scheme.numeral()));
             s.points = front
                 .iter()

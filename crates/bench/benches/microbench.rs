@@ -9,7 +9,7 @@ use nm_cache_core::groups::{cache_groups, CostKind, Scheme};
 use nm_cache_core::single::SingleCacheStudy;
 use nm_device::{KnobGrid, KnobPoint, TechnologyNode};
 use nm_geometry::{CacheCircuit, CacheConfig, ComponentKnobs};
-use nm_opt::merge::system_front;
+use nm_opt::merge::try_system_front;
 use std::hint::black_box;
 
 fn device_kernels(c: &mut Criterion) {
@@ -71,7 +71,7 @@ fn solver_kernels(c: &mut Criterion) {
         CostKind::LeakagePower,
     );
     c.bench_function("micro/merge_4_groups_279_candidates", |b| {
-        b.iter(|| black_box(system_front(black_box(&groups))))
+        b.iter(|| black_box(try_system_front(black_box(&groups))))
     });
 
     let grid = KnobGrid::paper();

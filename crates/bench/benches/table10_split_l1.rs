@@ -23,7 +23,10 @@ fn bench(c: &mut Criterion) {
         KnobGrid::paper(),
     )
     .expect("valid configuration");
-    emit_table("table10_split_l1", &study.to_table(&[0.08, 0.15, 0.30]));
+    emit_table(
+        "table10_split_l1",
+        &study.to_table(&[0.08, 0.15, 0.30]).expect("healthy build"),
+    );
     let s = study.split_stats();
     println!(
         "[rates] I$ m={:.4}, D$ m={:.4}, unified m1={:.4}",

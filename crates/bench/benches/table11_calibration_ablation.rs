@@ -37,7 +37,7 @@ fn spans_and_ablation(tech: &TechnologyNode) -> (f64, f64, Option<(f64, f64)>) {
 
     // Single-knob optima at a mid deadline (parse the ablation table).
     let deadline = study.delay_sweep(5)[2];
-    let table = study.knob_ablation(&[deadline]);
+    let table = study.knob_ablation(&[deadline]).expect("healthy build");
     let row = table.rows().first().expect("one deadline row");
     let tox_only: Option<f64> = row[1].parse().ok();
     let vth_hi: Option<f64> = row[3].parse().ok();

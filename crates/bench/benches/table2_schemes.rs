@@ -14,7 +14,7 @@ use std::hint::black_box;
 fn bench(c: &mut Criterion) {
     let study = SingleCacheStudy::paper_16kb().expect("paper configuration is valid");
     let deadlines: Vec<_> = study.delay_sweep(9).into_iter().skip(1).collect();
-    let table = study.scheme_comparison(&deadlines);
+    let table = study.scheme_comparison(&deadlines).expect("healthy build");
     emit_table("table2_schemes", &table);
 
     let mid = deadlines[deadlines.len() / 2];

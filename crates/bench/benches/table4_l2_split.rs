@@ -16,7 +16,7 @@ use nm_cache_core::Table;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let study = TwoLevelStudy::standard(false);
+    let study = TwoLevelStudy::standard(false).expect("standard sizes are legal");
     let l1 = 16 * 1024;
     let l2_sizes = TwoLevelStudy::standard_l2_sizes();
     // Enough slack that the smaller L2 sizes are feasible at all (their

@@ -15,7 +15,7 @@ use std::hint::black_box;
 fn bench(c: &mut Criterion) {
     let study = SingleCacheStudy::paper_16kb().expect("paper configuration is valid");
     let deadlines: Vec<_> = study.delay_sweep(9).into_iter().skip(2).collect();
-    let table = study.knob_ablation(&deadlines);
+    let table = study.knob_ablation(&deadlines).expect("healthy build");
     emit_table("table6_knob_ablation", &table);
 
     let subset = &deadlines[2..4];

@@ -14,7 +14,10 @@ use std::hint::black_box;
 fn bench(c: &mut Criterion) {
     let vs = paper_16kb_variation(400, 65).expect("paper configuration is valid");
     let deadlines: Vec<_> = vs.study().delay_sweep(7).into_iter().skip(2).collect();
-    emit_table("table7_variation", &vs.to_table(&deadlines));
+    emit_table(
+        "table7_variation",
+        &vs.to_table(&deadlines).expect("healthy build"),
+    );
 
     let one = vec![deadlines[1]];
     c.bench_function("table7/variation_400_samples_one_deadline", |b| {

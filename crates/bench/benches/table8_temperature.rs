@@ -16,7 +16,7 @@ fn bench(c: &mut Criterion) {
     for slack in [0.15, 0.40] {
         emit_table(
             &format!("table8_temperature_slack{:02.0}", slack * 100.0),
-            &study.to_table(slack),
+            &study.to_table(slack).expect("healthy build"),
         );
     }
 

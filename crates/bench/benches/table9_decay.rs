@@ -18,7 +18,10 @@ fn bench(c: &mut Criterion) {
     let study = DecayStudy::new(single, SuiteKind::Spec2000, 400_000);
     let deadlines = study.study().delay_sweep(5);
     for (label, deadline) in [("tight", deadlines[1]), ("mid", deadlines[2])] {
-        emit_table(&format!("table9_decay_{label}"), &study.to_table(deadline));
+        emit_table(
+            &format!("table9_decay_{label}"),
+            &study.to_table(deadline).expect("healthy build"),
+        );
     }
 
     c.bench_function("table9/decay_interval_sim_100k", |b| {

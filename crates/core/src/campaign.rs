@@ -318,7 +318,7 @@ impl CampaignOutcome {
 pub struct Campaign {
     config: CampaignConfig,
     eval: Evaluator,
-    missrates: MissRateTable,
+    missrates: Result<MissRateTable, StudyError>,
     memory: MainMemory,
 }
 
@@ -333,14 +333,15 @@ impl Campaign {
         } else {
             (300_000, 600_000)
         };
-        let missrates = MissRateTable::build(
+        let missrates = MissRateTable::try_build(
             &config.l1_sizes,
             &config.l2_sizes,
             &STANDARD_SUITES,
             2005,
             warmup,
             measure,
-        );
+        )
+        .map_err(StudyError::from);
         let grid = if config.quick {
             KnobGrid::coarse()
         } else {
@@ -377,6 +378,8 @@ impl Campaign {
     ///
     /// # Errors
     ///
+    /// [`CampaignError::Study`] when a configured cache size is illegal
+    /// (raised before the checkpoint is read or written),
     /// [`CampaignError::Checkpoint`] / [`CampaignError::Mismatch`] when
     /// the existing checkpoint cannot be trusted, and
     /// [`CampaignError::Store`] when a checkpoint rewrite fails. Per-cell
@@ -387,6 +390,7 @@ impl Campaign {
         fresh: bool,
         max_cells: Option<usize>,
     ) -> Result<CampaignOutcome, CampaignError> {
+        let table = self.missrates.as_ref().map_err(Clone::clone)?;
         let total = self.config.cell_count();
         let fingerprint = self.config.fingerprint();
         nm_telemetry::counter_add(crate::names::CAMPAIGN_CELLS_TOTAL, total as u64);
@@ -416,7 +420,7 @@ impl Campaign {
                 }
             }
             let clock = nm_telemetry::Stopwatch::start();
-            let outcome = match self.compute_cell(idx) {
+            let outcome = match self.compute_cell(table, idx) {
                 Ok(row) => {
                     nm_telemetry::counter_inc(crate::names::CAMPAIGN_CELLS_COMPUTED);
                     CellOutcome::Row(row)
@@ -458,14 +462,12 @@ impl Campaign {
 
     /// Optimises one cell and renders its row. Any failure here is
     /// contained by the caller — it poisons the cell, not the campaign.
-    fn compute_cell(&self, idx: usize) -> Result<Vec<String>, StudyError> {
+    fn compute_cell(&self, table: &MissRateTable, idx: usize) -> Result<Vec<String>, StudyError> {
         let c = self.config.cell(idx);
-        let stats = self.missrates.get(c.l1_bytes, c.l2_bytes).copied().ok_or(
-            StudyError::MissingMissRates {
-                l1_bytes: c.l1_bytes,
-                l2_bytes: c.l2_bytes,
-            },
-        )?;
+        let (l1_bytes, l2_bytes) = (c.l1_bytes, c.l2_bytes);
+        let stats = *table
+            .get(l1_bytes, l2_bytes)
+            .ok_or(StudyError::MissingMissRates { l1_bytes, l2_bytes })?;
         let node = TechnologyNode::bptm65().at_temperature(Kelvin::from_celsius(c.temp_c));
         let l1 = CacheCircuit::new(CacheConfig::new(c.l1_bytes, BLOCK_BYTES, L1_WAYS)?, &node);
         let l2 = CacheCircuit::with_technology(

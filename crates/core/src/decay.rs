@@ -19,6 +19,7 @@
 use crate::groups::Scheme;
 use crate::report::{cell, Table};
 use crate::single::SingleCacheStudy;
+use crate::StudyError;
 use nm_archsim::cache::CacheParams;
 use nm_archsim::decay::DecaySim;
 use nm_archsim::workload::SuiteKind;
@@ -89,29 +90,29 @@ impl DecayStudy {
     }
 
     /// Simulates one decay interval on the study's cache geometry.
-    #[expect(
-        clippy::expect_used,
-        reason = "geometry configs are legal simulator configs by construction"
-    )]
-    pub fn simulate_interval(&self, interval: u64) -> DecayOutcome {
+    ///
+    /// # Errors
+    ///
+    /// [`StudyError::Simulator`] when the geometry is not a legal
+    /// simulator configuration.
+    pub fn simulate_interval(&self, interval: u64) -> Result<DecayOutcome, StudyError> {
         let config = self.study.circuit().config();
         let params = CacheParams::new(
             config.size_bytes(),
             config.block_bytes(),
             config.associativity(),
-        )
-        .expect("geometry configs are legal simulator configs");
+        )?;
         let mut sim = DecaySim::new(params, interval);
         let mut workload = self.suite.build(2005);
         for _ in 0..self.sim_length {
             sim.access(workload.next_access());
         }
         let s = sim.stats();
-        DecayOutcome {
+        Ok(DecayOutcome {
             interval,
             alive_fraction: s.alive_fraction(),
             decay_miss_rate: s.decay_miss_rate(),
-        }
+        })
     }
 
     /// Picks the interval minimising `alive·array_leakage + refill power`
@@ -166,11 +167,18 @@ impl DecayStudy {
         }
     }
 
-    /// Evaluates all four techniques at one delay constraint. Returns
-    /// `None` when the constraint is infeasible for the knob optimiser.
-    pub fn evaluate(&self, deadline: Seconds) -> Option<Vec<TechniqueRow>> {
+    /// Evaluates all four techniques at one delay constraint; `Ok(None)`
+    /// when the constraint is infeasible for the knob optimiser.
+    ///
+    /// # Errors
+    ///
+    /// Any error from [`SingleCacheStudy::optimize`] or
+    /// [`simulate_interval`](Self::simulate_interval).
+    pub fn evaluate(&self, deadline: Seconds) -> Result<Option<Vec<TechniqueRow>>, StudyError> {
         let fastest = ComponentKnobs::uniform(KnobPoint::fastest());
-        let optimum = self.study.optimize(Scheme::Split, deadline)?;
+        let Some(optimum) = self.study.optimize(Scheme::Split, deadline)? else {
+            return Ok(None);
+        };
 
         // Decay behaviour is knob-independent (intervals are in
         // references), so each interval is simulated once; the *best*
@@ -179,7 +187,7 @@ impl DecayStudy {
             .intervals
             .iter()
             .map(|&i| self.simulate_interval(i))
-            .collect();
+            .collect::<Result<_, _>>()?;
         let fast_metrics = self.study.circuit().analyze(&fastest);
         let fast_array = fast_metrics
             .component(ComponentId::MemoryArray)
@@ -196,16 +204,20 @@ impl DecayStudy {
         let decay_for_fast = Self::best_outcome(&outcomes, fast_array, refill);
         let decay_for_opt = Self::best_outcome(&outcomes, opt_array, refill);
 
-        Some(vec![
+        Ok(Some(vec![
             self.row("performance process", &fastest, None),
             self.row("decay only", &fastest, Some(&decay_for_fast)),
             self.row("knobs only (Scheme II)", &optimum.knobs, None),
             self.row("knobs + decay", &optimum.knobs, Some(&decay_for_opt)),
-        ])
+        ]))
     }
 
     /// Renders the comparison as a table (powers in mW).
-    pub fn to_table(&self, deadline: Seconds) -> Table {
+    ///
+    /// # Errors
+    ///
+    /// Any error from [`evaluate`](Self::evaluate).
+    pub fn to_table(&self, deadline: Seconds) -> Result<Table, StudyError> {
         let mut t = Table::new(
             format!(
                 "Process knobs vs cache decay, {} at ≤ {:.0} ps ({} workload)",
@@ -221,7 +233,7 @@ impl DecayStudy {
                 "total (mW)",
             ],
         );
-        if let Some(rows) = self.evaluate(deadline) {
+        if let Some(rows) = self.evaluate(deadline)? {
             for r in rows {
                 t.push_row(vec![
                     r.name,
@@ -232,7 +244,7 @@ impl DecayStudy {
                 ]);
             }
         }
-        t
+        Ok(t)
     }
 }
 
@@ -259,7 +271,9 @@ mod tests {
     fn rows() -> Vec<TechniqueRow> {
         let s = study();
         let deadline = s.study().delay_sweep(5)[2];
-        s.evaluate(deadline).expect("mid deadline feasible")
+        s.evaluate(deadline)
+            .expect("healthy build")
+            .expect("mid deadline feasible")
     }
 
     #[test]
@@ -311,13 +325,13 @@ mod tests {
     fn table_renders_four_rows() {
         let s = study();
         let deadline = s.study().delay_sweep(5)[2];
-        assert_eq!(s.to_table(deadline).len(), 4);
+        assert_eq!(s.to_table(deadline).expect("healthy build").len(), 4);
     }
 
     #[test]
     fn interval_simulation_is_sane() {
         let s = study();
-        let o = s.simulate_interval(1024);
+        let o = s.simulate_interval(1024).expect("legal geometry");
         assert!((0.0..=1.0).contains(&o.alive_fraction));
         assert!((0.0..=1.0).contains(&o.decay_miss_rate));
         assert_eq!(o.interval, 1024);

@@ -45,7 +45,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// A constrained optimum produced by [`Evaluator::solve`].
+/// A constrained optimum produced by [`Evaluator::try_solve`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Weighted system delay of the winning point (seconds).
@@ -56,7 +56,7 @@ pub struct Solution {
     /// The winning per-group knob choice, in spec group order.
     pub choice: Vec<KnobPoint>,
     /// The choice resolved to one [`ComponentKnobs`] per level, via the
-    /// canonical [`HierarchySpec::knobs_from_choice`].
+    /// canonical [`HierarchySpec::try_knobs_from_choice`].
     pub knobs: Vec<ComponentKnobs>,
 }
 
@@ -375,27 +375,10 @@ impl Evaluator {
         }
     }
 
-    /// Builds every not-yet-cached component surface a spec needs, fanning
-    /// the builds out through one bounded [`ParallelSweep`].
-    ///
-    /// Calling this before spawning parallel per-query jobs (the Figure 2
-    /// tuple sweep) pre-warms the cache so the jobs never start nested
-    /// sweeps; it is also called internally by [`groups`](Self::groups),
-    /// where an all-cached spec skips the sweep entirely.
-    #[expect(
-        clippy::panic,
-        reason = "documented panicking wrapper; try_ensure_surfaces() is the fallible API"
-    )]
-    pub fn ensure_surfaces(&self, spec: &HierarchySpec) {
-        if let Err(e) = self.try_ensure_surfaces(spec) {
-            panic!("surface build failed: {e}");
-        }
-    }
-
     /// The hoisted-primitives table for `tech` over this evaluator's
     /// grid, built on first request and cached for the evaluator's
     /// lifetime. The table depends only on `(tech, points)` — both fixed
-    /// per evaluator — so rebuilding it per `ensure_surfaces` call was
+    /// per evaluator — so rebuilding it per `try_ensure_surfaces` call was
     /// pure cold-path overhead.
     fn prims_table(&self, tech: &TechnologyNode) -> Arc<PrimsTable> {
         if let Some(table) = self
@@ -422,10 +405,17 @@ impl Evaluator {
         table
     }
 
-    /// Fallible [`ensure_surfaces`](Self::ensure_surfaces): builds every
-    /// not-yet-cached component surface a spec needs with per-item panic
-    /// containment and validates each one *before* it is installed, so a
-    /// failed or poisoned computation never enters the memo cache.
+    /// Builds every not-yet-cached component surface a spec needs,
+    /// fanning the builds out through one bounded [`ParallelSweep`] with
+    /// per-item panic containment, and validates each one *before* it is
+    /// installed, so a failed or poisoned computation never enters the
+    /// memo cache.
+    ///
+    /// Calling this before spawning parallel per-query jobs (the Figure 2
+    /// tuple sweep) pre-warms the cache so the jobs never start nested
+    /// sweeps; it is also called internally by
+    /// [`try_groups`](Self::try_groups), where an all-cached spec skips
+    /// the sweep entirely.
     ///
     /// Every healthy surface is still installed even when some jobs fail
     /// (partial progress is kept); the first failure, in job order, is
@@ -541,16 +531,6 @@ impl Evaluator {
     /// The optimiser groups of a spec — bit-identical to concatenating
     /// [`cache_groups`](crate::groups::cache_groups) per level, but the
     /// metric surfaces behind the candidates are memoized.
-    pub fn groups(&self, spec: &HierarchySpec) -> Vec<Group> {
-        self.ensure_surfaces(spec);
-        spec.levels()
-            .iter()
-            .flat_map(|level| self.level_groups(level))
-            .collect()
-    }
-
-    /// Fallible [`groups`](Self::groups): propagates surface-build
-    /// failures instead of panicking.
     ///
     /// # Errors
     ///
@@ -610,20 +590,9 @@ impl Evaluator {
             .collect()
     }
 
-    /// The system Pareto front of a spec, memoized per spec.
-    #[expect(
-        clippy::panic,
-        reason = "documented panicking wrapper; try_front() is the fallible API"
-    )]
-    pub fn front(&self, spec: &HierarchySpec) -> Arc<Vec<FrontPoint>> {
-        self.try_front(spec)
-            .unwrap_or_else(|e| panic!("front build failed: {e}"))
-    }
-
-    /// Fallible [`front`](Self::front): the memoized system Pareto front,
-    /// propagating surface-build failures. A failed build memoizes
-    /// nothing — neither surfaces nor front — so a later retry starts
-    /// from a clean cache.
+    /// The system Pareto front of a spec, memoized per spec. A failed
+    /// build memoizes nothing — neither surfaces nor front — so a later
+    /// retry starts from a clean cache.
     ///
     /// # Errors
     ///
@@ -638,22 +607,7 @@ impl Evaluator {
         if let Some(front) = self.front_from_store(spec) {
             return Ok(front);
         }
-        let groups = self.try_groups(spec)?;
-        // Offer every cached spec's merge base: a spec sharing a group
-        // prefix (same circuits, weights and costs on its leading levels)
-        // re-merges only the layers past the shared prefix.
-        let bases: Vec<Arc<MergeBase>> = self
-            .fronts
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .filter_map(|(_, _, b)| b.clone())
-            .collect();
-        let (base, reused) = MergeBase::try_new_with_bases(&groups, bases.iter().map(Arc::as_ref))?;
-        if reused > 0 {
-            self.fronts_incremental.fetch_add(1, Ordering::Relaxed);
-            nm_telemetry::counter_add(crate::names::FRONT_MERGE_INCREMENTAL, reused as u64);
-        }
+        let base = self.merge(&self.try_groups(spec)?, None)?;
         let front = Arc::new(base.front());
         let mut fronts = self
             .fronts
@@ -684,6 +638,29 @@ impl Evaluator {
         Ok(front)
     }
 
+    /// Merges `groups`, resuming from whichever of `extra` and the cached
+    /// specs' merge bases shares the longest group prefix.
+    fn merge(
+        &self,
+        groups: &[Group],
+        extra: Option<Arc<MergeBase>>,
+    ) -> Result<MergeBase, StudyError> {
+        let mut bases: Vec<Arc<MergeBase>> = extra.into_iter().collect();
+        bases.extend(
+            self.fronts
+                .read()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .iter()
+                .filter_map(|(_, _, b)| b.clone()),
+        );
+        let (base, reused) = MergeBase::try_new_with_bases(groups, bases.iter().map(Arc::as_ref))?;
+        if reused > 0 {
+            self.fronts_incremental.fetch_add(1, Ordering::Relaxed);
+            nm_telemetry::counter_add(crate::names::FRONT_MERGE_INCREMENTAL, reused as u64);
+        }
+        Ok(base)
+    }
+
     fn cached_front(&self, spec: &HierarchySpec) -> Option<Arc<Vec<FrontPoint>>> {
         self.fronts
             .read()
@@ -693,16 +670,9 @@ impl Evaluator {
             .map(|(_, f, _)| Arc::clone(f))
     }
 
-    /// Reads a constrained optimum off the spec's (memoized) front, or
-    /// `None` when the constraint is infeasible.
-    pub fn solve<C: Constraint>(&self, spec: &HierarchySpec, constraint: &C) -> Option<Solution> {
-        let front = self.front(spec);
-        let point = constraint.select(&front)?;
-        Some(self.solution(spec, point))
-    }
-
-    /// Fallible [`solve`](Self::solve): `Ok(None)` means the constraint
-    /// is infeasible; `Err` means evaluation itself failed.
+    /// Reads a constrained optimum off the spec's (memoized) front:
+    /// `Ok(None)` means the constraint is infeasible, `Err` means
+    /// evaluation itself failed.
     ///
     /// # Errors
     ///
@@ -716,35 +686,18 @@ impl Evaluator {
         let front = self.try_front(spec)?;
         constraint
             .select(&front)
-            .map(|point| self.try_solution(spec, point))
+            .map(|point| self.solution(spec, point))
             .transpose()
     }
 
-    /// [`solve`](Self::solve) with every group restricted to knob values
-    /// drawn from the given `Vth`/`Tox` value sets (the single-knob
-    /// ablation and tuple-count experiments). Returns `None` when the
-    /// restriction empties a group or the constraint is infeasible.
+    /// [`try_solve`](Self::try_solve) with every group restricted to
+    /// knob values drawn from the given `Vth`/`Tox` value sets (the
+    /// single-knob ablation and tuple-count experiments). Returns
+    /// `Ok(None)` when the restriction empties a group or the constraint
+    /// is infeasible.
     ///
     /// Restricted fronts are not memoized — value-set restrictions are
     /// exponentially many — but the metric surfaces they re-price are.
-    #[expect(
-        clippy::panic,
-        reason = "documented panicking wrapper; try_solve_restricted() is the fallible API"
-    )]
-    pub fn solve_restricted<C: Constraint>(
-        &self,
-        spec: &HierarchySpec,
-        vths: &[f64],
-        toxes: &[f64],
-        constraint: &C,
-    ) -> Option<Solution> {
-        self.try_solve_restricted(spec, vths, toxes, constraint)
-            .unwrap_or_else(|e| panic!("restricted solve failed: {e}"))
-    }
-
-    /// Fallible [`solve_restricted`](Self::solve_restricted): `Ok(None)`
-    /// when the restriction empties a group or the constraint is
-    /// infeasible, `Err` when evaluation itself failed.
     ///
     /// # Errors
     ///
@@ -763,28 +716,14 @@ impl Evaluator {
             return Ok(None);
         };
         // Tuple-count sweeps grow value sets monotonically, so successive
-        // restrictions often share leading groups verbatim; keep the last
-        // restricted merge base around (plus every cached spec base) and
-        // re-merge only past the shared prefix.
+        // restrictions often share leading groups verbatim; offer the last
+        // restricted merge base ahead of the cached spec bases.
         let last = self
             .restricted_base
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .clone();
-        let mut bases: Vec<Arc<MergeBase>> = last.into_iter().collect();
-        bases.extend(
-            self.fronts
-                .read()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .iter()
-                .filter_map(|(_, _, b)| b.clone()),
-        );
-        let (base, reused) =
-            MergeBase::try_new_with_bases(&restricted, bases.iter().map(Arc::as_ref))?;
-        if reused > 0 {
-            self.fronts_incremental.fetch_add(1, Ordering::Relaxed);
-            nm_telemetry::counter_add(crate::names::FRONT_MERGE_INCREMENTAL, reused as u64);
-        }
+        let base = self.merge(&restricted, last)?;
         let front = base.front();
         *self
             .restricted_base
@@ -792,24 +731,11 @@ impl Evaluator {
             .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(Arc::new(base));
         constraint
             .select(&front)
-            .map(|point| self.try_solution(spec, point))
+            .map(|point| self.solution(spec, point))
             .transpose()
     }
 
-    #[expect(
-        clippy::panic,
-        reason = "documented panicking wrapper; try_solution() is the fallible API"
-    )]
-    fn solution(&self, spec: &HierarchySpec, point: &FrontPoint) -> Solution {
-        self.try_solution(spec, point)
-            .unwrap_or_else(|e| panic!("front point does not fit the spec: {e}"))
-    }
-
-    fn try_solution(
-        &self,
-        spec: &HierarchySpec,
-        point: &FrontPoint,
-    ) -> Result<Solution, StudyError> {
+    fn solution(&self, spec: &HierarchySpec, point: &FrontPoint) -> Result<Solution, StudyError> {
         Ok(Solution {
             delay: point.delay,
             cost: point.cost,
@@ -861,7 +787,7 @@ mod tests {
     use nm_device::TechnologyNode;
     use nm_geometry::CacheConfig;
     use nm_opt::constraint::best_under_deadline;
-    use nm_opt::merge::system_front;
+    use nm_opt::merge::try_system_front;
     use nm_opt::objective::Deadline;
 
     fn circuit(bytes: u64) -> CacheCircuit {
@@ -880,7 +806,11 @@ mod tests {
         for scheme in Scheme::ALL {
             let spec = HierarchySpec::single(c.clone(), scheme, 1.0, CostKind::LeakagePower);
             let direct = cache_groups(&c, scheme, e.grid(), 1.0, CostKind::LeakagePower);
-            assert_eq!(e.groups(&spec), direct, "{scheme}");
+            assert_eq!(
+                e.try_groups(&spec).expect("healthy build"),
+                direct,
+                "{scheme}"
+            );
         }
         // All three schemes priced the same four surfaces: 4 builds.
         assert_eq!(e.stats().surfaces_built, 4);
@@ -895,8 +825,8 @@ mod tests {
             1.0,
             CostKind::LeakagePower,
         );
-        let a = e.front(&spec);
-        let b = e.front(&spec);
+        let a = e.try_front(&spec).expect("healthy build");
+        let b = e.try_front(&spec).expect("healthy build");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(e.stats().fronts_built, 1);
         assert_eq!(e.stats().front_hits, 1);
@@ -907,32 +837,35 @@ mod tests {
             0.5,
             CostKind::LeakagePower,
         );
-        let c = e.front(&other);
+        let c = e.try_front(&other).expect("healthy build");
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(e.stats().fronts_built, 2);
     }
 
     #[test]
-    fn solve_matches_manual_pipeline() {
+    fn solve_matches_manual_pipeline() -> Result<(), StudyError> {
         let e = eval();
         let c = circuit(16 * 1024);
         let spec = HierarchySpec::single(c.clone(), Scheme::Split, 1.0, CostKind::LeakagePower);
-        let front = system_front(&cache_groups(
+        let front = try_system_front(&cache_groups(
             &c,
             Scheme::Split,
             e.grid(),
             1.0,
             CostKind::LeakagePower,
-        ));
+        ))?;
         let deadline = front.last().expect("non-empty front").delay;
         let manual = best_under_deadline(&front, deadline).expect("feasible");
-        let sol = e.solve(&spec, &Deadline(deadline)).expect("feasible");
+        let sol = e.try_solve(&spec, &Deadline(deadline))?.expect("feasible");
         assert_eq!(sol.delay, manual.delay);
         assert_eq!(sol.cost, manual.cost);
         assert_eq!(sol.choice, manual.choice);
         assert_eq!(sol.knobs.len(), 1);
-        // Infeasible deadline: None.
-        assert!(e.solve(&spec, &Deadline(front[0].delay * 0.5)).is_none());
+        // Infeasible is Ok(None), not Err.
+        let infeasible = e.try_solve(&spec, &Deadline(front[0].delay * 0.5));
+        assert_eq!(infeasible, Ok(None));
+        assert_eq!(e.stats().surfaces_rejected, 0);
+        Ok(())
     }
 
     #[test]
@@ -953,9 +886,9 @@ mod tests {
                 0.05,
                 CostKind::LeakagePower,
             );
-        e.ensure_surfaces(&spec);
+        e.try_ensure_surfaces(&spec).expect("healthy build");
         assert_eq!(e.stats().surfaces_built, 8);
-        e.ensure_surfaces(&spec);
+        e.try_ensure_surfaces(&spec).expect("healthy build");
         assert_eq!(e.stats().surfaces_built, 8);
         // Repeated levels of the same circuit build only once.
         let dup = HierarchySpec::new()
@@ -973,7 +906,7 @@ mod tests {
                 1.0,
                 CostKind::LeakagePower,
             );
-        e.ensure_surfaces(&dup);
+        e.try_ensure_surfaces(&dup).expect("healthy build");
         assert_eq!(e.stats().surfaces_built, 12);
     }
 
@@ -986,33 +919,10 @@ mod tests {
         assert_eq!(e.analyze(&c, &knobs), c.analyze(&knobs));
         // On-grid after warming: served from surfaces, still identical.
         let spec = HierarchySpec::single(c.clone(), Scheme::Uniform, 1.0, CostKind::LeakagePower);
-        e.ensure_surfaces(&spec);
+        e.try_ensure_surfaces(&spec).expect("healthy build");
         let p = e.grid().snap(KnobPoint::nominal());
         let on_grid = ComponentKnobs::uniform(p);
         assert_eq!(e.analyze(&c, &on_grid), c.analyze(&on_grid));
-    }
-
-    #[test]
-    fn try_solve_matches_solve_on_the_healthy_path() {
-        let e = eval();
-        let spec = HierarchySpec::single(
-            circuit(16 * 1024),
-            Scheme::Split,
-            1.0,
-            CostKind::LeakagePower,
-        );
-        let front = e.try_front(&spec).expect("healthy build");
-        let deadline = front.last().expect("non-empty front").delay;
-        let via_try = e
-            .try_solve(&spec, &Deadline(deadline))
-            .expect("healthy build")
-            .expect("feasible");
-        let via_solve = e.solve(&spec, &Deadline(deadline)).expect("feasible");
-        assert_eq!(via_try, via_solve);
-        // Infeasible is Ok(None), not Err.
-        let infeasible = e.try_solve(&spec, &Deadline(front[0].delay * 0.5));
-        assert_eq!(infeasible, Ok(None));
-        assert_eq!(e.stats().surfaces_rejected, 0);
     }
 
     #[test]
@@ -1103,7 +1013,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_prefix_specs_remerge_incrementally() {
+    fn shared_prefix_specs_remerge_incrementally() -> Result<(), StudyError> {
         let e = eval();
         let l1 = circuit(16 * 1024);
         let full = HierarchySpec::new()
@@ -1115,7 +1025,7 @@ mod tests {
                 0.05,
                 CostKind::LeakagePower,
             );
-        let _ = e.front(&full);
+        let _ = e.try_front(&full)?;
         assert_eq!(e.stats().fronts_incremental, 0);
         // Same L1 level, different L2: the L1 merge layers are reused and
         // the front still matches a from-scratch merge.
@@ -1128,13 +1038,14 @@ mod tests {
                 0.05,
                 CostKind::LeakagePower,
             );
-        let incremental = e.front(&changed);
+        let incremental = e.try_front(&changed)?;
         assert_eq!(e.stats().fronts_incremental, 1);
-        assert_eq!(*incremental, system_front(&e.groups(&changed)));
+        assert_eq!(*incremental, try_system_front(&e.try_groups(&changed)?)?);
+        Ok(())
     }
 
     #[test]
-    fn restricted_solves_reuse_the_last_restricted_base() {
+    fn restricted_solves_reuse_the_last_restricted_base() -> Result<(), StudyError> {
         let e = eval();
         let spec = HierarchySpec::single(
             circuit(16 * 1024),
@@ -1142,7 +1053,7 @@ mod tests {
             1.0,
             CostKind::LeakagePower,
         );
-        let groups = e.groups(&spec);
+        let groups = e.try_groups(&spec)?;
         let vths: Vec<f64> = groups[0]
             .candidates()
             .iter()
@@ -1153,20 +1064,21 @@ mod tests {
             .iter()
             .map(|c| c.knobs.tox().0)
             .collect();
-        let full_front = e.front(&spec);
+        let full_front = e.try_front(&spec)?;
         let deadline = full_front.last().expect("non-empty").delay;
         // The unrestricted value sets reproduce the exact solve.
         let a = e
-            .solve_restricted(&spec, &vths, &toxes, &Deadline(deadline))
+            .try_solve_restricted(&spec, &vths, &toxes, &Deadline(deadline))?
             .expect("feasible");
         let b = e
-            .solve_restricted(&spec, &vths, &toxes, &Deadline(deadline))
+            .try_solve_restricted(&spec, &vths, &toxes, &Deadline(deadline))?
             .expect("feasible");
         assert_eq!(a, b);
-        let direct = e.solve(&spec, &Deadline(deadline)).expect("feasible");
+        let direct = e.try_solve(&spec, &Deadline(deadline))?.expect("feasible");
         assert_eq!(a, direct);
         // The second identical restriction reused every layer of the first.
         assert!(e.stats().fronts_incremental >= 1);
+        Ok(())
     }
 
     #[test]
@@ -1178,7 +1090,7 @@ mod tests {
             1.0,
             CostKind::LeakagePower,
         );
-        let _ = e.front(&spec);
+        let _ = e.try_front(&spec).expect("healthy build");
         let fresh = e.clone();
         assert_eq!(fresh.stats(), EvalStats::default());
         assert_eq!(fresh.grid().len(), e.grid().len());

@@ -61,7 +61,7 @@ impl LevelSpec {
 ///
 /// Group order across the system is the concatenation of each level's
 /// [`Scheme::layout`] in level order; a front point's choice vector uses
-/// the same order, and [`knobs_from_choice`](Self::knobs_from_choice) is
+/// the same order, and [`try_knobs_from_choice`](Self::try_knobs_from_choice) is
 /// the one canonical way to slice it back into per-level assignments.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HierarchySpec {
@@ -150,22 +150,9 @@ impl HierarchySpec {
         Ok(weights)
     }
 
-    /// Infallible [`try_amat_weights`](Self::try_amat_weights).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a miss rate is non-finite or outside `[0, 1]`.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panicking wrapper; try_amat_weights is the fallible API"
-    )]
-    pub fn amat_weights(miss_rates: &[f64]) -> Vec<f64> {
-        Self::try_amat_weights(miss_rates).expect("miss rates must be probabilities")
-    }
-
-    /// Non-panicking [`knobs_from_choice`](Self::knobs_from_choice):
-    /// reconstructs each level's [`ComponentKnobs`] from a front point's
-    /// choice vector, or reports the length mismatch as a typed error.
+    /// Reconstructs each level's [`ComponentKnobs`] from a front point's
+    /// choice vector — the single canonical choice-slicing path (each
+    /// level consumes [`Scheme::group_count`] entries in level order).
     ///
     /// # Errors
     ///
@@ -193,29 +180,6 @@ impl HierarchySpec {
                 knobs
             })
             .collect())
-    }
-
-    /// Reconstructs each level's [`ComponentKnobs`] from a front point's
-    /// choice vector — the single canonical choice-slicing path (each
-    /// level consumes [`Scheme::group_count`] entries in level order).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `choice` does not have exactly
-    /// [`group_count`](Self::group_count) entries. Library code should
-    /// prefer [`try_knobs_from_choice`](Self::try_knobs_from_choice).
-    #[expect(
-        clippy::expect_used,
-        reason = "the choice length is asserted directly above"
-    )]
-    pub fn knobs_from_choice(&self, choice: &[KnobPoint]) -> Vec<ComponentKnobs> {
-        assert_eq!(
-            choice.len(),
-            self.group_count(),
-            "choice length does not match the spec's group count"
-        );
-        self.try_knobs_from_choice(choice)
-            .expect("length checked above")
     }
 }
 
@@ -272,24 +236,14 @@ mod tests {
         let a = KnobPoint::fastest();
         let b = KnobPoint::lowest_leakage();
         let n = KnobPoint::nominal();
-        let knobs = spec.knobs_from_choice(&[b, a, n]);
+        let knobs = spec
+            .try_knobs_from_choice(&[b, a, n])
+            .expect("three groups");
         assert_eq!(knobs.len(), 2);
         assert_eq!(knobs[0][ComponentId::MemoryArray], b);
         assert_eq!(knobs[0][ComponentId::Decoder], a);
         assert_eq!(knobs[1][ComponentId::MemoryArray], n);
         assert_eq!(knobs[1][ComponentId::DataBus], n);
-    }
-
-    #[test]
-    #[should_panic(expected = "group count")]
-    fn wrong_choice_length_panics() {
-        let spec = HierarchySpec::single(
-            circuit(16 * 1024),
-            Scheme::Split,
-            1.0,
-            CostKind::LeakagePower,
-        );
-        let _ = spec.knobs_from_choice(&[KnobPoint::nominal()]);
     }
 
     #[test]
@@ -318,9 +272,9 @@ mod tests {
 
     #[test]
     fn amat_weights_chain_products() {
-        let w = HierarchySpec::amat_weights(&[0.05, 0.25]);
-        assert_eq!(w, vec![1.0, 0.05, 0.05 * 0.25]);
-        assert_eq!(HierarchySpec::amat_weights(&[]), vec![1.0]);
+        let w = HierarchySpec::try_amat_weights(&[0.05, 0.25]);
+        assert_eq!(w, Ok(vec![1.0, 0.05, 0.05 * 0.25]));
+        assert_eq!(HierarchySpec::try_amat_weights(&[]), Ok(vec![1.0]));
     }
 
     #[test]
@@ -329,7 +283,7 @@ mod tests {
         // studies used: weights[0] is the literal 1.0 and weights[1] is
         // the literal m1, not a rounded product.
         let m1 = 0.123456789_f64;
-        let w = HierarchySpec::amat_weights(&[m1]);
+        let w = HierarchySpec::try_amat_weights(&[m1]).expect("a probability");
         assert_eq!(w[0].to_bits(), 1.0_f64.to_bits());
         assert_eq!(w[1].to_bits(), m1.to_bits());
     }

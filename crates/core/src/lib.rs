@@ -15,11 +15,16 @@
 //! | E6 | Figure 2 (Tox, Vth) tuple problem | [`memsys::MemorySystemStudy::tuple_curves`] |
 //! | E7 | "Vth is the better knob" ablation | [`single::SingleCacheStudy::knob_ablation`] |
 //! | E0 | Eq. 1/Eq. 2 surface-fit quality | [`fitcheck::fit_report`] |
-//! | E8 | Extension: 3-level mixed-technology hierarchy | [`mixedtech::MixedTechStudy`] |
-//! | X1 | Extension: die-to-die variation | [`variation::VariationStudy`] |
-//! | X2 | Extension: temperature sensitivity | [`thermal::ThermalStudy`] |
-//! | X3 | Extension: knobs vs cache decay (gated-Vdd) | [`decay::DecayStudy`] |
-//! | X4 | Extension: split I$/D$ vs unified L1 | [`splitl1::SplitL1Study`] |
+//! | E8 | Extension: 3-level mixed-technology hierarchy | [`mixedtech::MixedTechStudy::compare`] |
+//! | X1 | Extension: die-to-die variation | [`variation::VariationStudy::evaluate`] |
+//! | X2 | Extension: temperature sensitivity | [`thermal::ThermalStudy::evaluate`] |
+//! | X3 | Extension: knobs vs cache decay (gated-Vdd) | [`decay::DecayStudy::evaluate`] |
+//! | X4 | Extension: split I$/D$ vs unified L1 | [`splitl1::SplitL1Study::to_table`] |
+//!
+//! Every entry point has one form, returning `Result<_, StudyError>`: a
+//! bad configuration, a contained worker panic ([`StudyError::WorkerPanic`])
+//! or a rejected metric surface ([`StudyError::InvalidSurface`]) comes
+//! back as a typed error, never as a panic.
 //!
 //! All four study pipelines run on the shared evaluation engine in
 //! [`mod@eval`]: a [`eval::HierarchySpec`] describes the cache levels and
@@ -34,7 +39,7 @@
 //!
 //! let study = SingleCacheStudy::paper_16kb()?;
 //! let sweep = study.delay_sweep(5);
-//! let sol = study.optimize(Scheme::Split, sweep[2]).expect("feasible");
+//! let sol = study.optimize(Scheme::Split, sweep[2])?.expect("feasible");
 //! assert!(sol.leakage.total().0 > 0.0);
 //! # Ok::<(), nm_cache_core::StudyError>(())
 //! ```

@@ -100,10 +100,10 @@ impl MemorySystemStudy {
     /// cache, giving the four groups L1 cells, L1 periphery, L2 cells, L2
     /// periphery) priced for an AMAT target `t_ref` (leakage energy
     /// integrates over it).
-    fn system_spec(&self, t_ref: Seconds) -> HierarchySpec {
+    fn system_spec(&self, t_ref: Seconds) -> Result<HierarchySpec, StudyError> {
         // Miss-chain delay weights [1, m1]; bit-identical to the old
         // hand-passed constants.
-        let weights = HierarchySpec::amat_weights(&[self.stats.l1_miss_rate]);
+        let weights = HierarchySpec::try_amat_weights(&[self.stats.l1_miss_rate])?;
         let l1_cost = CostKind::Energy {
             t_ref: t_ref.0,
             access_rate: 1.0,
@@ -122,9 +122,9 @@ impl MemorySystemStudy {
                 self.stats.l1_writeback_rate / l2_rate
             },
         };
-        HierarchySpec::new()
+        Ok(HierarchySpec::new()
             .level("L1", self.l1.clone(), Scheme::Split, weights[0], l1_cost)
-            .level("L2", self.l2.clone(), Scheme::Split, weights[1], l2_cost)
+            .level("L2", self.l2.clone(), Scheme::Split, weights[1], l2_cost))
     }
 
     /// The knob-independent AMAT floor (`m1·m2·t_mem`).
@@ -178,7 +178,17 @@ impl MemorySystemStudy {
     /// threshold voltages and `n_tox` distinct oxide thicknesses from the
     /// grid, shared across all four system groups, minimising total
     /// energy.
-    pub fn tuple_curves(&self, tuples: &[TupleCounts], targets: &[Seconds]) -> Vec<Series> {
+    ///
+    /// # Errors
+    ///
+    /// [`StudyError::MissRateRange`] for a miss rate that is not a
+    /// probability, and a failed or rejected surface build
+    /// ([`StudyError::WorkerPanic`], [`StudyError::InvalidSurface`]).
+    pub fn tuple_curves(
+        &self,
+        tuples: &[TupleCounts],
+        targets: &[Seconds],
+    ) -> Result<Vec<Series>, StudyError> {
         let grid = self.eval.grid();
         let vth_axis: Vec<f64> = grid.vth_values().iter().map(|v| v.0).collect();
         let tox_axis: Vec<f64> = grid.tox_values().iter().map(|t| t.0).collect();
@@ -195,7 +205,7 @@ impl MemorySystemStudy {
         // below re-prices cached surfaces instead of re-analysing the
         // grid per cell (and never starts a nested sweep).
         if let Some(&first) = targets.first() {
-            self.eval.ensure_surfaces(&self.system_spec(first));
+            self.eval.try_ensure_surfaces(&self.system_spec(first)?)?;
         }
 
         // Every (tuple, target) cell is independent: flatten the grid into
@@ -204,30 +214,31 @@ impl MemorySystemStudy {
         let jobs: Vec<(usize, Seconds)> = (0..tuples.len())
             .flat_map(|ti| targets.iter().map(move |&t| (ti, t)))
             .collect();
-        let points: Vec<Option<(f64, f64)>> =
-            ParallelSweep::new()
-                .labeled("tuple-curves")
-                .map(&jobs, |&(ti, target)| {
-                    let tc = tuples[ti];
-                    let budget = target.0 - floor.0;
-                    if budget <= 0.0 {
-                        return None;
-                    }
-                    let groups = self.eval.groups(&self.system_spec(target));
-                    let sols = optimize_with_tuple_counts(
-                        &groups,
-                        &vth_axis,
-                        &tox_axis,
-                        tc.n_vth,
-                        tc.n_tox,
-                        &[budget],
-                    );
-                    sols[0]
-                        .as_ref()
-                        .map(|sol| (target.picos(), (sol.point.cost + e_mem.0) * 1e12))
-                });
+        let points: Vec<Option<(f64, f64)>> = ParallelSweep::new()
+            .labeled("tuple-curves")
+            .map(&jobs, |&(ti, target)| {
+                let tc = tuples[ti];
+                let budget = target.0 - floor.0;
+                if budget <= 0.0 {
+                    return Ok(None);
+                }
+                let groups = self.eval.try_groups(&self.system_spec(target)?)?;
+                let sols = optimize_with_tuple_counts(
+                    &groups,
+                    &vth_axis,
+                    &tox_axis,
+                    tc.n_vth,
+                    tc.n_tox,
+                    &[budget],
+                )?;
+                Ok(sols[0]
+                    .as_ref()
+                    .map(|sol| (target.picos(), (sol.point.cost + e_mem.0) * 1e12)))
+            })
+            .into_iter()
+            .collect::<Result<_, StudyError>>()?;
 
-        tuples
+        Ok(tuples
             .iter()
             .enumerate()
             .map(|(ti, &tc)| {
@@ -238,12 +249,20 @@ impl MemorySystemStudy {
                     .collect();
                 series
             })
-            .collect()
+            .collect())
     }
 
     /// Renders [`tuple_curves`](Self::tuple_curves) output as a table.
-    pub fn tuple_table(&self, tuples: &[TupleCounts], targets: &[Seconds]) -> Table {
-        let series = self.tuple_curves(tuples, targets);
+    ///
+    /// # Errors
+    ///
+    /// Any error from [`tuple_curves`](Self::tuple_curves).
+    pub fn tuple_table(
+        &self,
+        tuples: &[TupleCounts],
+        targets: &[Seconds],
+    ) -> Result<Table, StudyError> {
+        let series = self.tuple_curves(tuples, targets)?;
         let mut t = Table::new(
             "Figure 2: (Tox, Vth) tuple problem — total energy vs AMAT",
             &["tuple", "AMAT (ps)", "energy (pJ)"],
@@ -253,7 +272,7 @@ impl MemorySystemStudy {
                 t.push_row(vec![s.label.clone(), cell(x, 0), cell(y, 2)]);
             }
         }
-        t
+        Ok(t)
     }
 }
 
@@ -332,22 +351,23 @@ mod tests {
     }
 
     #[test]
-    fn energy_decreases_with_relaxed_amat() {
+    fn energy_decreases_with_relaxed_amat() -> Result<(), StudyError> {
         // Each tuple's curve must slope downward: more AMAT slack means
         // more conservative knobs and less leakage energy.
         let s = study();
         let targets = s.amat_sweep(4);
-        let curves = s.tuple_curves(&[TupleCounts { n_tox: 2, n_vth: 2 }], &targets);
+        let curves = s.tuple_curves(&[TupleCounts { n_tox: 2, n_vth: 2 }], &targets)?;
         let pts = &curves[0].points;
         assert!(pts.len() >= 3, "too few feasible targets: {pts:?}");
         assert!(
             pts.last().unwrap().1 < pts.first().unwrap().1,
             "curve not decreasing: {pts:?}"
         );
+        Ok(())
     }
 
     #[test]
-    fn more_values_never_hurt_energy() {
+    fn more_values_never_hurt_energy() -> Result<(), StudyError> {
         let s = study();
         let targets = s.amat_sweep(3);
         let curves = s.tuple_curves(
@@ -357,7 +377,7 @@ mod tests {
                 TupleCounts { n_tox: 2, n_vth: 3 },
             ],
             &targets,
-        );
+        )?;
         for (a, b) in curves.iter().zip(curves.iter().skip(1)) {
             for (pa, pb) in a.points.iter().zip(&b.points) {
                 assert!(
@@ -369,10 +389,11 @@ mod tests {
                 );
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn vth_is_the_better_knob_in_figure2() {
+    fn vth_is_the_better_knob_in_figure2() -> Result<(), StudyError> {
         // 1 Tox + 2 Vth outperforms 2 Tox + 1 Vth — the paper's closing
         // observation.
         let s = study();
@@ -383,7 +404,7 @@ mod tests {
                 TupleCounts { n_tox: 1, n_vth: 2 },
             ],
             &targets,
-        );
+        )?;
         let two_tox = &curves[0].points;
         let two_vth = &curves[1].points;
         let mut wins = 0;
@@ -397,13 +418,15 @@ mod tests {
         }
         assert!(total >= 3);
         assert!(wins * 2 > total, "1Tox+2Vth won only {wins}/{total} points");
+        Ok(())
     }
 
     #[test]
-    fn tuple_table_renders() {
+    fn tuple_table_renders() -> Result<(), StudyError> {
         let s = study();
-        let t = s.tuple_table(&[TupleCounts { n_tox: 1, n_vth: 2 }], &s.amat_sweep(3));
+        let t = s.tuple_table(&[TupleCounts { n_tox: 1, n_vth: 2 }], &s.amat_sweep(3))?;
         assert!(!t.is_empty());
+        Ok(())
     }
 
     #[test]

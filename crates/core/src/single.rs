@@ -99,23 +99,39 @@ impl SingleCacheStudy {
     }
 
     /// Minimises total leakage under a delay constraint for one scheme
-    /// (the paper's Section 4 optimisation). Returns `None` when the
+    /// (the paper's Section 4 optimisation). Returns `Ok(None)` when the
     /// deadline is infeasible.
-    pub fn optimize(&self, scheme: Scheme, deadline: Seconds) -> Option<SchemeSolution> {
-        let sol = self.eval.solve(&self.spec(scheme), &Deadline(deadline.0))?;
+    ///
+    /// # Errors
+    ///
+    /// A failed or rejected surface build ([`StudyError::WorkerPanic`],
+    /// [`StudyError::InvalidSurface`]).
+    pub fn optimize(
+        &self,
+        scheme: Scheme,
+        deadline: Seconds,
+    ) -> Result<Option<SchemeSolution>, StudyError> {
+        let spec = self.spec(scheme);
+        let Some(sol) = self.eval.try_solve(&spec, &Deadline(deadline.0))? else {
+            return Ok(None);
+        };
         let knobs = sol.knobs[0];
         let metrics = self.eval.analyze(&self.circuit, &knobs);
-        Some(SchemeSolution {
+        Ok(Some(SchemeSolution {
             scheme,
             knobs,
             access_time: metrics.access_time(),
             leakage: metrics.leakage(),
-        })
+        }))
     }
 
     /// **E2** — compares the minimum leakage of schemes I/II/III across a
     /// delay-constraint sweep.
-    pub fn scheme_comparison(&self, deadlines: &[Seconds]) -> Table {
+    ///
+    /// # Errors
+    ///
+    /// Any error from [`optimize`](Self::optimize).
+    pub fn scheme_comparison(&self, deadlines: &[Seconds]) -> Result<Table, StudyError> {
         let mut table = Table::new(
             format!("Scheme comparison, {} (Section 4)", self.circuit.config()),
             &[
@@ -131,7 +147,7 @@ impl SingleCacheStudy {
             let sols: Vec<Option<SchemeSolution>> = Scheme::ALL
                 .iter()
                 .map(|&s| self.optimize(s, deadline))
-                .collect();
+                .collect::<Result<_, _>>()?;
             let (Some(s1), Some(s2), Some(s3)) = (&sols[0], &sols[1], &sols[2]) else {
                 continue;
             };
@@ -147,7 +163,7 @@ impl SingleCacheStudy {
                 cell(100.0 * (l3 - l1) / l1, 1),
             ]);
         }
-        table
+        Ok(table)
     }
 
     /// **E1 / Figure 1** — the four fixed-knob curves: leakage (mW) versus
@@ -194,15 +210,21 @@ impl SingleCacheStudy {
     ///
     /// The paper's conclusion: "it is best to set Tox conservatively at a
     /// high value and let Vth be the knob designers can vary".
-    pub fn knob_ablation(&self, deadlines: &[Seconds]) -> Table {
+    ///
+    /// # Errors
+    ///
+    /// A failed or rejected surface build ([`StudyError::WorkerPanic`],
+    /// [`StudyError::InvalidSurface`]).
+    pub fn knob_ablation(&self, deadlines: &[Seconds]) -> Result<Table, StudyError> {
         let vth_axis: Vec<f64> = self.grid().vth_values().iter().map(|v| v.0).collect();
         let tox_axis: Vec<f64> = self.grid().tox_values().iter().map(|t| t.0).collect();
 
         let spec = self.spec(Scheme::Split);
-        let restricted_optimum = |vths: &[f64], toxes: &[f64], deadline: Seconds| -> Option<f64> {
-            self.eval
-                .solve_restricted(&spec, vths, toxes, &Deadline(deadline.0))
-                .map(|sol| sol.cost * 1e3)
+        let restricted_optimum = |vths: &[f64], toxes: &[f64], deadline: Seconds| {
+            let sol = self
+                .eval
+                .try_solve_restricted(&spec, vths, toxes, &Deadline(deadline.0))?;
+            Ok::<_, StudyError>(sol.map(|sol| sol.cost * 1e3))
         };
 
         let mut table = Table::new(
@@ -219,10 +241,10 @@ impl SingleCacheStudy {
             ],
         );
         for &deadline in deadlines {
-            let tox_only = restricted_optimum(&[0.3], &tox_axis, deadline);
-            let vth_mid = restricted_optimum(&vth_axis, &[12.0], deadline);
-            let vth_hi = restricted_optimum(&vth_axis, &[14.0], deadline);
-            let both = restricted_optimum(&vth_axis, &tox_axis, deadline);
+            let tox_only = restricted_optimum(&[0.3], &tox_axis, deadline)?;
+            let vth_mid = restricted_optimum(&vth_axis, &[12.0], deadline)?;
+            let vth_hi = restricted_optimum(&vth_axis, &[14.0], deadline)?;
+            let both = restricted_optimum(&vth_axis, &tox_axis, deadline)?;
             let fmt = |v: Option<f64>| v.map_or_else(|| "infeasible".to_owned(), |x| cell(x, 3));
             table.push_row(vec![
                 cell(deadline.picos(), 0),
@@ -232,7 +254,7 @@ impl SingleCacheStudy {
                 fmt(both),
             ]);
         }
-        table
+        Ok(table)
     }
 }
 
@@ -252,25 +274,25 @@ mod tests {
     }
 
     #[test]
-    fn scheme_ordering_holds() {
+    fn scheme_ordering_holds() -> Result<(), StudyError> {
         // Scheme I ≤ Scheme II ≤ Scheme III in leakage at iso-delay, and
         // II lands close to I (the paper's core Section 4 finding).
         let s = study();
         for deadline in s.delay_sweep(5).into_iter().skip(1) {
             let l1 = s
-                .optimize(Scheme::PerComponent, deadline)
+                .optimize(Scheme::PerComponent, deadline)?
                 .unwrap()
                 .leakage
                 .total()
                 .0;
             let l2 = s
-                .optimize(Scheme::Split, deadline)
+                .optimize(Scheme::Split, deadline)?
                 .unwrap()
                 .leakage
                 .total()
                 .0;
             let l3 = s
-                .optimize(Scheme::Uniform, deadline)
+                .optimize(Scheme::Uniform, deadline)?
                 .unwrap()
                 .leakage
                 .total()
@@ -278,20 +300,21 @@ mod tests {
             assert!(l1 <= l2 + 1e-15, "I > II at {deadline}");
             assert!(l2 <= l3 + 1e-15, "II > III at {deadline}");
         }
+        Ok(())
     }
 
     #[test]
-    fn scheme_two_is_near_optimal_mid_range() {
+    fn scheme_two_is_near_optimal_mid_range() -> Result<(), StudyError> {
         let s = study();
         let deadline = s.delay_sweep(5)[2];
         let l1 = s
-            .optimize(Scheme::PerComponent, deadline)
+            .optimize(Scheme::PerComponent, deadline)?
             .unwrap()
             .leakage
             .total()
             .0;
         let l2 = s
-            .optimize(Scheme::Split, deadline)
+            .optimize(Scheme::Split, deadline)?
             .unwrap()
             .leakage
             .total()
@@ -300,13 +323,14 @@ mod tests {
             l2 <= l1 * 1.25,
             "Scheme II {l2:.3e} not close to Scheme I {l1:.3e}"
         );
+        Ok(())
     }
 
     #[test]
-    fn optimum_meets_deadline() {
+    fn optimum_meets_deadline() -> Result<(), StudyError> {
         let s = study();
         for deadline in s.delay_sweep(4) {
-            let sol = s.optimize(Scheme::Split, deadline).unwrap();
+            let sol = s.optimize(Scheme::Split, deadline)?.unwrap();
             assert!(
                 sol.access_time.0 <= deadline.0 + 1e-15,
                 "violated: {} > {}",
@@ -314,23 +338,25 @@ mod tests {
                 deadline.picos()
             );
         }
+        Ok(())
     }
 
     #[test]
-    fn infeasible_deadline_returns_none() {
+    fn infeasible_deadline_returns_none() -> Result<(), StudyError> {
         let s = study();
         let too_fast = Seconds(s.circuit().fastest_access_time().0 * 0.5);
-        assert!(s.optimize(Scheme::Uniform, too_fast).is_none());
+        assert!(s.optimize(Scheme::Uniform, too_fast)?.is_none());
+        Ok(())
     }
 
     #[test]
-    fn optimum_assigns_conservative_cells_fast_periphery() {
+    fn optimum_assigns_conservative_cells_fast_periphery() -> Result<(), StudyError> {
         // Paper: "high values of Vth and thick Tox's are always assigned
         // to the memory cell arrays, and Vth/Tox in the peripheral
         // components have been set sufficiently low".
         let s = study();
         let deadline = s.delay_sweep(6)[2]; // a binding mid-range constraint
-        let sol = s.optimize(Scheme::Split, deadline).unwrap();
+        let sol = s.optimize(Scheme::Split, deadline)?.unwrap();
         let cells = sol.knobs[nm_geometry::ComponentId::MemoryArray];
         let periph = sol.knobs[nm_geometry::ComponentId::Decoder];
         assert!(
@@ -341,6 +367,7 @@ mod tests {
             cells.tox().0 >= periph.tox().0,
             "cells {cells} vs periphery {periph}"
         );
+        Ok(())
     }
 
     #[test]
@@ -386,7 +413,7 @@ mod tests {
         // asymmetry.
         let s = study();
         let deadlines = s.delay_sweep(6);
-        let t = s.knob_ablation(&deadlines[2..5]);
+        let t = s.knob_ablation(&deadlines[2..5]).expect("healthy build");
         assert!(!t.is_empty());
         for row in t.rows() {
             let tox_only: f64 = row[1].parse().unwrap_or(f64::INFINITY);
@@ -396,11 +423,12 @@ mod tests {
     }
 
     #[test]
-    fn scheme_comparison_table_well_formed() {
+    fn scheme_comparison_table_well_formed() -> Result<(), StudyError> {
         let s = study();
-        let t = s.scheme_comparison(&s.delay_sweep(4)[1..]);
+        let t = s.scheme_comparison(&s.delay_sweep(4)[1..])?;
         assert!(!t.is_empty());
         assert_eq!(t.headers().len(), 6);
+        Ok(())
     }
 
     #[test]

@@ -133,77 +133,79 @@ impl SplitL1Study {
     }
 
     /// Optimises the split organisation (Scheme II in each of the three
-    /// caches) at a mean-access-time deadline.
-    pub fn optimize_split(&self, deadline: Seconds) -> Option<OrganisationRow> {
+    /// caches) at a mean-access-time deadline; `Ok(None)` if infeasible.
+    ///
+    /// # Errors
+    ///
+    /// A failed or rejected surface build ([`StudyError::WorkerPanic`],
+    /// [`StudyError::InvalidSurface`]).
+    pub fn optimize_split(&self, deadline: Seconds) -> Result<Option<OrganisationRow>, StudyError> {
         let (fi, fd) = Self::mix();
         let s = &self.split_stats;
         let l2_weight = fi * s.icache_miss_rate() + fd * s.dcache_miss_rate();
         let floor = self.memory.access_time.0 * l2_weight * s.l2_local_miss_rate();
-
-        let spec = HierarchySpec::new()
-            .level(
-                "I$",
-                self.icache_circuit.clone(),
-                Scheme::Split,
-                fi,
-                CostKind::LeakagePower,
-            )
-            .level(
-                "D$",
-                self.dcache_circuit.clone(),
-                Scheme::Split,
-                fd,
-                CostKind::LeakagePower,
-            )
-            .level(
-                "L2",
-                self.l2_circuit.clone(),
-                Scheme::Split,
-                l2_weight,
-                CostKind::LeakagePower,
-            );
-        let sol = self.eval.solve(&spec, &Deadline(deadline.0 - floor))?;
-        Some(OrganisationRow {
-            name: format!(
-                "split {}K I$ + {}K D$",
-                self.icache_bytes / 1024,
-                self.dcache_bytes / 1024
-            ),
-            mean_access: Seconds(sol.delay + floor),
-            leakage: Watts(sol.cost),
-            l1_knobs: sol.knobs[0],
-        })
+        let name = format!(
+            "split {}K I$ + {}K D$",
+            self.icache_bytes / 1024,
+            self.dcache_bytes / 1024
+        );
+        let levels = [
+            ("I$", &self.icache_circuit, fi),
+            ("D$", &self.dcache_circuit, fd),
+            ("L2", &self.l2_circuit, l2_weight),
+        ];
+        self.optimize_levels(name, &levels, floor, deadline)
     }
 
     /// Optimises the unified organisation at the same deadline.
-    pub fn optimize_unified(&self, deadline: Seconds) -> Option<OrganisationRow> {
+    ///
+    /// # Errors
+    ///
+    /// As [`optimize_split`](Self::optimize_split).
+    pub fn optimize_unified(
+        &self,
+        deadline: Seconds,
+    ) -> Result<Option<OrganisationRow>, StudyError> {
         let l2_weight = self.unified_m1;
         let floor = self.memory.access_time.0 * l2_weight * self.unified_m2;
-        let spec = HierarchySpec::new()
-            .level(
-                "L1",
-                self.unified_circuit.clone(),
-                Scheme::Split,
-                1.0,
-                CostKind::LeakagePower,
-            )
-            .level(
-                "L2",
-                self.l2_circuit.clone(),
-                Scheme::Split,
-                l2_weight,
-                CostKind::LeakagePower,
-            );
-        let sol = self.eval.solve(&spec, &Deadline(deadline.0 - floor))?;
-        Some(OrganisationRow {
-            name: format!(
-                "unified {}K L1",
-                (self.icache_bytes + self.dcache_bytes) / 1024
-            ),
+        let name = format!(
+            "unified {}K L1",
+            (self.icache_bytes + self.dcache_bytes) / 1024
+        );
+        let levels = [
+            ("L1", &self.unified_circuit, 1.0),
+            ("L2", &self.l2_circuit, l2_weight),
+        ];
+        self.optimize_levels(name, &levels, floor, deadline)
+    }
+
+    /// Minimises the leakage of `(label, circuit, delay weight)` levels,
+    /// Scheme II in each, within `deadline` less the memory `floor` (s).
+    fn optimize_levels(
+        &self,
+        name: String,
+        levels: &[(&str, &CacheCircuit, f64)],
+        floor: f64,
+        deadline: Seconds,
+    ) -> Result<Option<OrganisationRow>, StudyError> {
+        let spec = levels
+            .iter()
+            .fold(HierarchySpec::new(), |spec, &(label, circuit, weight)| {
+                spec.level(
+                    label,
+                    circuit.clone(),
+                    Scheme::Split,
+                    weight,
+                    CostKind::LeakagePower,
+                )
+            });
+        let sol = self.eval.try_solve(&spec, &Deadline(deadline.0 - floor))?;
+        Ok(sol.map(|sol| OrganisationRow {
+            name,
             mean_access: Seconds(sol.delay + floor),
             leakage: Watts(sol.cost),
             l1_knobs: sol.knobs[0],
-        })
+        }))
     }
 
     /// The tightest deadline both organisations can meet, scaled by
@@ -222,7 +224,11 @@ impl SplitL1Study {
     }
 
     /// Renders the comparison across a few slack levels.
-    pub fn to_table(&self, slacks: &[f64]) -> Table {
+    ///
+    /// # Errors
+    ///
+    /// As [`optimize_split`](Self::optimize_split).
+    pub fn to_table(&self, slacks: &[f64]) -> Result<Table, StudyError> {
         let mut t = Table::new(
             format!(
                 "Split I$/D$ vs unified L1 (L2 = {} KB)",
@@ -233,8 +239,8 @@ impl SplitL1Study {
         for &slack in slacks {
             let deadline = self.deadline(slack);
             for row in [
-                self.optimize_split(deadline),
-                self.optimize_unified(deadline),
+                self.optimize_split(deadline)?,
+                self.optimize_unified(deadline)?,
             ]
             .into_iter()
             .flatten()
@@ -247,7 +253,7 @@ impl SplitL1Study {
                 ]);
             }
         }
-        t
+        Ok(t)
     }
 }
 
@@ -283,36 +289,38 @@ mod tests {
     }
 
     #[test]
-    fn both_organisations_optimizable() {
+    fn both_organisations_optimizable() -> Result<(), StudyError> {
         let st = study();
         let deadline = st.deadline(0.10);
-        let split = st.optimize_split(deadline).expect("split feasible");
-        let unified = st.optimize_unified(deadline).expect("unified feasible");
+        let split = st.optimize_split(deadline)?.expect("split feasible");
+        let unified = st.optimize_unified(deadline)?.expect("unified feasible");
         assert!(split.mean_access.0 <= deadline.0 + 1e-15);
         assert!(unified.mean_access.0 <= deadline.0 + 1e-15);
         assert!(split.leakage.0 > 0.0 && unified.leakage.0 > 0.0);
+        Ok(())
     }
 
     #[test]
-    fn split_is_competitive_with_unified() {
+    fn split_is_competitive_with_unified() -> Result<(), StudyError> {
         // The extra knob freedom of two L1 arrays keeps the split
         // organisation at or below ~115 % of the unified leakage at
         // mid-range slack (it usually wins outright).
         let st = study();
         let deadline = st.deadline(0.15);
-        let split = st.optimize_split(deadline).expect("split feasible");
-        let unified = st.optimize_unified(deadline).expect("unified feasible");
+        let split = st.optimize_split(deadline)?.expect("split feasible");
+        let unified = st.optimize_unified(deadline)?.expect("unified feasible");
         assert!(
             split.leakage.0 <= unified.leakage.0 * 1.15,
             "split {:.3} mW vs unified {:.3} mW",
             split.leakage.milli(),
             unified.leakage.milli()
         );
+        Ok(())
     }
 
     #[test]
     fn table_has_two_rows_per_slack() {
-        let t = study().to_table(&[0.10, 0.20]);
+        let t = study().to_table(&[0.10, 0.20]).expect("healthy build");
         assert_eq!(t.len(), 4);
     }
 

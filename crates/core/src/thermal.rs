@@ -68,13 +68,17 @@ impl ThermalStudy {
     }
 
     /// Runs the study at one delay-slack factor (relative to the fastest
-    /// corner at each temperature).
-    pub fn evaluate(&self, slack: f64) -> Vec<ThermalRow> {
+    /// corner at each temperature); no rows if the 80 °C optimum is infeasible.
+    ///
+    /// # Errors
+    ///
+    /// Any error from [`SingleCacheStudy::optimize`].
+    pub fn evaluate(&self, slack: f64) -> Result<Vec<ThermalRow>, StudyError> {
         let reference_tech = TechnologyNode::bptm65(); // 80 °C
         let ref_study = SingleCacheStudy::new(self.config, &reference_tech, self.grid.clone());
         let ref_deadline = Seconds(ref_study.circuit().fastest_access_time().0 * (1.0 + slack));
-        let Some(ref_sol) = ref_study.optimize(Scheme::Split, ref_deadline) else {
-            return Vec::new();
+        let Some(ref_sol) = ref_study.optimize(Scheme::Split, ref_deadline)? else {
+            return Ok(Vec::new());
         };
 
         self.temperatures
@@ -84,24 +88,28 @@ impl ThermalStudy {
                 let study = SingleCacheStudy::new(self.config, &tech, self.grid.clone());
                 let deadline = Seconds(study.circuit().fastest_access_time().0 * (1.0 + slack));
                 let fixed = study.circuit().analyze(&ref_sol.knobs).leakage();
-                let reopt = study.optimize(Scheme::Split, deadline);
+                let reopt = study.optimize(Scheme::Split, deadline)?;
                 let (reoptimized, gate_fraction) = match &reopt {
                     Some(sol) => (sol.leakage.total().0, sol.leakage.gate_fraction()),
                     None => (f64::NAN, f64::NAN),
                 };
-                ThermalRow {
+                Ok(ThermalRow {
                     temperature,
                     fixed_assignment: fixed.total().0,
                     reoptimized,
                     gate_fraction,
-                }
+                })
             })
             .collect()
     }
 
     /// Renders the study as a table (powers in mW).
-    pub fn to_table(&self, slack: f64) -> Table {
-        let rows = self.evaluate(slack);
+    ///
+    /// # Errors
+    ///
+    /// Any error from [`evaluate`](Self::evaluate).
+    pub fn to_table(&self, slack: f64) -> Result<Table, StudyError> {
+        let rows = self.evaluate(slack)?;
         let mut t = Table::new(
             format!(
                 "Temperature sensitivity, {} at {:.0}% delay slack",
@@ -123,7 +131,7 @@ impl ThermalStudy {
                 cell(r.gate_fraction, 3),
             ]);
         }
-        t
+        Ok(t)
     }
 }
 
@@ -140,7 +148,7 @@ mod tests {
 
     #[test]
     fn leakage_grows_with_temperature() {
-        let rows = quick().evaluate(0.25);
+        let rows = quick().evaluate(0.25).expect("healthy build");
         assert_eq!(rows.len(), 3);
         assert!(
             rows[2].fixed_assignment > rows[0].fixed_assignment,
@@ -152,7 +160,7 @@ mod tests {
 
     #[test]
     fn reoptimization_never_hurts() {
-        for r in quick().evaluate(0.25) {
+        for r in quick().evaluate(0.25).expect("healthy build") {
             if r.reoptimized.is_finite() {
                 assert!(
                     r.reoptimized <= r.fixed_assignment * 1.001,
@@ -168,7 +176,7 @@ mod tests {
     #[test]
     fn gate_fraction_rises_as_it_cools() {
         // Cold silicon: subthreshold collapses, the gate floor remains.
-        let rows = quick().evaluate(0.25);
+        let rows = quick().evaluate(0.25).expect("healthy build");
         assert!(
             rows[0].gate_fraction > rows[2].gate_fraction,
             "25 °C gate fraction {:.3} ≤ 110 °C {:.3}",
@@ -179,7 +187,7 @@ mod tests {
 
     #[test]
     fn table_has_three_temperature_rows() {
-        let t = quick().to_table(0.25);
+        let t = quick().to_table(0.25).expect("healthy build");
         assert_eq!(t.len(), 3);
     }
 }

@@ -138,26 +138,31 @@ impl TwoLevelStudy {
     /// Builds the standard study: L1 ∈ {4…64 K}, L2 ∈ {256 K…8 M},
     /// averaged over [`STANDARD_SUITES`]. `quick` trades simulation length
     /// for speed (tests); benches use the full-length table.
-    pub fn standard(quick: bool) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Never fails for the built-in size axes; the `Result` carries
+    /// [`MissRateTable::try_build`]'s [`StudyError::Simulator`].
+    pub fn standard(quick: bool) -> Result<Self, StudyError> {
         let (warmup, measure) = if quick {
             (30_000, 60_000)
         } else {
             (300_000, 600_000)
         };
-        let missrates = MissRateTable::build(
+        let missrates = MissRateTable::try_build(
             &Self::standard_l1_sizes(),
             &Self::standard_l2_sizes(),
             &STANDARD_SUITES,
             2005,
             warmup,
             measure,
-        );
-        Self::new(
+        )?;
+        Ok(Self::new(
             missrates,
             TechnologyNode::bptm65(),
             KnobGrid::paper(),
             MainMemory::default(),
-        )
+        ))
     }
 
     /// The standard L1 size axis (bytes): 4 K to 64 K, the paper's range.
@@ -269,7 +274,8 @@ impl TwoLevelStudy {
     ///
     /// # Errors
     ///
-    /// Propagates missing miss rates or impossible geometry.
+    /// Propagates missing miss rates, impossible geometry and failed or
+    /// rejected surface builds.
     pub fn l2_size_sweep(
         &self,
         l1_bytes: u64,
@@ -308,7 +314,7 @@ impl TwoLevelStudy {
                 let weights = HierarchySpec::try_amat_weights(&[stats.l1_miss_rate])?;
                 let spec =
                     HierarchySpec::single(l2.clone(), scheme, weights[1], CostKind::LeakagePower);
-                if let Some(sol) = self.eval.solve(&spec, &Deadline(budget)) {
+                if let Some(sol) = self.eval.try_solve(&spec, &Deadline(budget))? {
                     let l2_leak = Watts(sol.cost);
                     row.amat = Some(Seconds(base.0 + sol.delay));
                     row.opt_leakage = Some(l2_leak);
@@ -334,7 +340,8 @@ impl TwoLevelStudy {
     ///
     /// # Errors
     ///
-    /// Propagates missing miss rates or impossible geometry.
+    /// Propagates missing miss rates, impossible geometry and failed or
+    /// rejected surface builds.
     pub fn l1_size_sweep(
         &self,
         l1_sizes: &[u64],
@@ -378,7 +385,7 @@ impl TwoLevelStudy {
                         weights[1],
                         CostKind::LeakagePower,
                     );
-                if let Some(sol) = self.eval.solve(&spec, &Deadline(budget)) {
+                if let Some(sol) = self.eval.try_solve(&spec, &Deadline(budget))? {
                     let l1_knobs = sol.knobs[0];
                     let l1_leak = self.eval.analyze(&l1, &l1_knobs).leakage().total();
                     row.amat = Some(Seconds(base.0 + sol.delay));
@@ -413,14 +420,15 @@ mod tests {
             // Long enough to warm the 4 MB L2 — shorter tables leave the
             // large sizes cold and flatten the m2-vs-size curve the
             // Section 5 experiments depend on.
-            let missrates = MissRateTable::build(
+            let missrates = MissRateTable::try_build(
                 &[16 * 1024],
                 &[256 * 1024, 1024 * 1024, 4 * 1024 * 1024],
                 &STANDARD_SUITES,
                 2005,
                 400_000,
                 400_000,
-            );
+            )
+            .expect("legal sizes");
             TwoLevelStudy::new(
                 missrates,
                 TechnologyNode::bptm65(),

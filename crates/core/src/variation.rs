@@ -10,6 +10,7 @@
 use crate::groups::Scheme;
 use crate::report::{cell, Table};
 use crate::single::SingleCacheStudy;
+use crate::StudyError;
 use nm_device::units::{Seconds, Volts, Watts};
 use nm_device::variation::{MonteCarlo, VariationDistribution, VariationModel};
 use nm_device::KnobPoint;
@@ -78,11 +79,15 @@ impl VariationStudy {
     }
 
     /// Evaluates the Scheme II optimum at each deadline across die
-    /// corners.
-    pub fn evaluate(&self, deadlines: &[Seconds]) -> Vec<VariationRow> {
+    /// corners; infeasible deadlines are skipped.
+    ///
+    /// # Errors
+    ///
+    /// Any error from [`SingleCacheStudy::optimize`].
+    pub fn evaluate(&self, deadlines: &[Seconds]) -> Result<Vec<VariationRow>, StudyError> {
         let mut rows = Vec::new();
         for &deadline in deadlines {
-            let Some(sol) = self.study.optimize(Scheme::Split, deadline) else {
+            let Some(sol) = self.study.optimize(Scheme::Split, deadline)? else {
                 continue;
             };
             let circuit = self.study.circuit();
@@ -111,12 +116,16 @@ impl VariationStudy {
                 timing_yield: meets as f64 / self.samples as f64,
             });
         }
-        rows
+        Ok(rows)
     }
 
     /// Renders the study as a table (powers in mW).
-    pub fn to_table(&self, deadlines: &[Seconds]) -> Table {
-        let rows = self.evaluate(deadlines);
+    ///
+    /// # Errors
+    ///
+    /// Any error from [`evaluate`](Self::evaluate).
+    pub fn to_table(&self, deadlines: &[Seconds]) -> Result<Table, StudyError> {
+        let rows = self.evaluate(deadlines)?;
         let mut t = Table::new(
             format!(
                 "Leakage under die-to-die variation (σVth = {:.0} mV, σTox = {:.2} Å), {}",
@@ -143,7 +152,7 @@ impl VariationStudy {
                 cell(r.timing_yield, 3),
             ]);
         }
-        t
+        Ok(t)
     }
 }
 
@@ -152,26 +161,13 @@ impl VariationStudy {
 /// # Errors
 ///
 /// Propagates construction errors from [`SingleCacheStudy::paper_16kb`].
-pub fn paper_16kb_variation(
-    samples: usize,
-    seed: u64,
-) -> Result<VariationStudy, crate::StudyError> {
+pub fn paper_16kb_variation(samples: usize, seed: u64) -> Result<VariationStudy, StudyError> {
     Ok(VariationStudy::new(
         SingleCacheStudy::paper_16kb()?,
         VariationModel::typical_65nm(),
         samples,
         seed,
     ))
-}
-
-impl Default for VariationStudy {
-    #[expect(
-        clippy::expect_used,
-        reason = "Default over constant paper parameters validated by tests"
-    )]
-    fn default() -> Self {
-        paper_16kb_variation(200, 65).expect("paper configuration is valid")
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +190,7 @@ mod tests {
     fn variation_raises_mean_above_nominal() {
         let vs = quick();
         let deadlines = vs.study.delay_sweep(5);
-        let rows = vs.evaluate(&deadlines[2..4]);
+        let rows = vs.evaluate(&deadlines[2..4]).expect("healthy build");
         assert!(!rows.is_empty());
         for r in &rows {
             assert!(
@@ -211,7 +207,7 @@ mod tests {
     fn timing_yield_is_a_probability_and_not_trivial() {
         let vs = quick();
         let deadlines = vs.study.delay_sweep(5);
-        let rows = vs.evaluate(&deadlines[2..3]);
+        let rows = vs.evaluate(&deadlines[2..3]).expect("healthy build");
         let y = rows[0].timing_yield;
         assert!((0.0..=1.0).contains(&y));
         // With the optimum sitting on the constraint, roughly half the
@@ -223,7 +219,7 @@ mod tests {
     fn table_renders_with_all_columns() {
         let vs = quick();
         let deadlines = vs.study.delay_sweep(4);
-        let t = vs.to_table(&deadlines[2..3]);
+        let t = vs.to_table(&deadlines[2..3]).expect("healthy build");
         assert_eq!(t.headers().len(), 6);
         assert_eq!(t.len(), 1);
     }

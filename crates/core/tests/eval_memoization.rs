@@ -6,11 +6,12 @@
 
 use nm_cache_core::eval::{Evaluator, HierarchySpec};
 use nm_cache_core::groups::{cache_groups, CostKind, Scheme};
+use nm_cache_core::StudyError;
 use nm_device::units::{Angstroms, Volts};
 use nm_device::{KnobGrid, KnobPoint, TechnologyNode};
 use nm_geometry::{CacheCircuit, CacheConfig, ComponentKnobs, COMPONENT_IDS};
 use nm_opt::constraint::best_under_deadline;
-use nm_opt::merge::system_front;
+use nm_opt::merge::try_system_front;
 use nm_opt::objective::Deadline;
 use proptest::prelude::*;
 
@@ -43,12 +44,13 @@ fn evaluator_analyze_is_bitwise_identical() {
     let grid = KnobGrid::coarse();
     let eval = Evaluator::new(grid.clone());
     let c = circuit(16 * 1024, 4);
-    eval.ensure_surfaces(&HierarchySpec::single(
+    eval.try_ensure_surfaces(&HierarchySpec::single(
         c.clone(),
         Scheme::Uniform,
         1.0,
         CostKind::LeakagePower,
-    ));
+    ))
+    .expect("healthy build");
     // On-grid, per-component mixed assignment.
     let pts: Vec<KnobPoint> = grid.points().collect();
     let mixed = ComponentKnobs::per_component(
@@ -66,7 +68,7 @@ fn evaluator_analyze_is_bitwise_identical() {
 /// Engine-assembled groups equal the direct pipeline for a multi-level
 /// spec, and the memoized front yields the same optimum.
 #[test]
-fn two_level_groups_and_front_match_direct_pipeline() {
+fn two_level_groups_and_front_match_direct_pipeline() -> Result<(), StudyError> {
     let grid = KnobGrid::coarse();
     let eval = Evaluator::new(grid.clone());
     let l1 = circuit(16 * 1024, 4);
@@ -85,14 +87,14 @@ fn two_level_groups_and_front_match_direct_pipeline() {
         m1,
         CostKind::LeakagePower,
     ));
-    assert_eq!(eval.groups(&spec), direct);
+    assert_eq!(eval.try_groups(&spec)?, direct);
 
-    let front = system_front(&direct);
-    assert_eq!(*eval.front(&spec), front);
+    let front = try_system_front(&direct)?;
+    assert_eq!(*eval.try_front(&spec)?, front);
 
     let deadline = front.last().expect("non-empty").delay * 0.9;
     let manual = best_under_deadline(&front, deadline);
-    let solved = eval.solve(&spec, &Deadline(deadline));
+    let solved = eval.try_solve(&spec, &Deadline(deadline))?;
     match (manual, solved) {
         (Some(p), Some(s)) => {
             assert_eq!(s.delay, p.delay);
@@ -102,6 +104,7 @@ fn two_level_groups_and_front_match_direct_pipeline() {
         (None, None) => {}
         (m, s) => panic!("feasibility disagreement: manual={m:?} solved={s:?}"),
     }
+    Ok(())
 }
 
 proptest! {
@@ -152,7 +155,7 @@ proptest! {
         let c = circuit(32 * 1024, 4);
         let spec = HierarchySpec::single(c.clone(), scheme, weight, CostKind::LeakagePower);
         prop_assert_eq!(
-            eval.groups(&spec),
+            eval.try_groups(&spec).expect("healthy build"),
             cache_groups(&c, scheme, &grid, weight, CostKind::LeakagePower)
         );
     }

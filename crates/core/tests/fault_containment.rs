@@ -11,15 +11,21 @@
 //!   cache, as a typed [`StudyError::InvalidSurface`], and never serves a
 //!   later query;
 //! * after the fault plan drains, a retry completes and produces results
-//!   bit-identical to a never-faulted evaluator.
+//!   bit-identical to a never-faulted evaluator;
+//! * the study entry points above the evaluator carry both errors to
+//!   their caller instead of panicking.
 //!
 //! Compile with `--features faultinject`; without the feature this file
 //! is empty.
 
 #![cfg(feature = "faultinject")]
 
+use nm_archsim::PairStats;
+use nm_cache_core::amat::MainMemory;
 use nm_cache_core::eval::{Evaluator, HierarchySpec};
 use nm_cache_core::groups::{CostKind, Scheme};
+use nm_cache_core::memsys::{MemorySystemStudy, TupleCounts};
+use nm_cache_core::single::SingleCacheStudy;
 use nm_cache_core::StudyError;
 use nm_device::{KnobGrid, TechnologyNode};
 use nm_geometry::{CacheCircuit, CacheConfig};
@@ -187,4 +193,62 @@ fn fault_in_one_spec_leaves_other_specs_untouched() {
     );
     let front = e.try_front(&other).expect("other spec healthy");
     assert!(!front.is_empty());
+}
+
+#[test]
+fn study_entry_points_return_contained_faults_as_errors() -> Result<(), StudyError> {
+    let _guard = plan_lock();
+    faultinject::clear();
+
+    // A contained worker panic surfaces from the E2 scheme comparison.
+    // Once the plan drains, a retry renders the never-faulted golden
+    // table byte for byte.
+    let single = SingleCacheStudy::with_circuit(circuit(16 * 1024), KnobGrid::coarse());
+    let deadlines = &single.delay_sweep(6)[1..];
+    faultinject::arm(Some("eval-surfaces"), 1, Fault::Panic, 1);
+    match single.scheme_comparison(deadlines) {
+        Err(StudyError::WorkerPanic { label, index, .. }) => {
+            assert_eq!((label.as_str(), index), ("eval-surfaces", 1));
+        }
+        other => panic!("expected a contained worker panic, got {other:?}"),
+    }
+    assert_eq!(faultinject::armed(), 0);
+    assert_eq!(
+        single.scheme_comparison(deadlines)?.to_string(),
+        include_str!("golden/e2_scheme_comparison.txt")
+    );
+
+    // A poisoned surface surfaces from the Figure 2 tuple curves, with
+    // the golden E6 configuration.
+    let stats = PairStats {
+        l1_miss_rate: 0.05,
+        l2_local_miss_rate: 0.25,
+        l1_writeback_rate: 0.01,
+        write_fraction: 0.3,
+        measured: 1,
+    };
+    let memsys = MemorySystemStudy::new(
+        16 * 1024,
+        1024 * 1024,
+        stats,
+        &TechnologyNode::bptm65(),
+        KnobGrid::coarse(),
+        MainMemory::default(),
+    )?;
+    let tuples = [(2, 2), (2, 1), (1, 2)].map(|(n_tox, n_vth)| TupleCounts { n_tox, n_vth });
+    let targets = memsys.amat_sweep(4);
+    faultinject::arm(Some("eval-surfaces"), 2, Fault::Nan, 1);
+    match memsys.tuple_curves(&tuples, &targets) {
+        Err(StudyError::InvalidSurface { metric, value, .. }) => {
+            assert_eq!(metric, "delay");
+            assert!(value.is_nan());
+        }
+        other => panic!("expected a rejected surface, got {other:?}"),
+    }
+    assert_eq!(faultinject::armed(), 0);
+    assert_eq!(
+        memsys.tuple_table(&tuples, &targets)?.to_string(),
+        include_str!("golden/e6_tuple_table.txt")
+    );
+    Ok(())
 }

@@ -15,6 +15,7 @@ use nm_cache_core::mixedtech::MixedTechStudy;
 use nm_cache_core::single::SingleCacheStudy;
 use nm_cache_core::splitl1::SplitL1Study;
 use nm_cache_core::twolevel::{TwoLevelStudy, STANDARD_SUITES};
+use nm_cache_core::StudyError;
 use nm_device::{KnobGrid, TechProfile, TechnologyNode};
 use nm_geometry::CacheConfig;
 use std::sync::OnceLock;
@@ -34,25 +35,27 @@ fn assert_golden(actual: &str, golden: &str, name: &str) {
 }
 
 #[test]
-fn e2_scheme_comparison_matches_golden() {
+fn e2_scheme_comparison_matches_golden() -> Result<(), StudyError> {
     let single = single_study();
     let deadlines = single.delay_sweep(6);
     assert_golden(
-        &single.scheme_comparison(&deadlines[1..]).to_string(),
+        &single.scheme_comparison(&deadlines[1..])?.to_string(),
         include_str!("golden/e2_scheme_comparison.txt"),
         "e2",
     );
+    Ok(())
 }
 
 #[test]
-fn e7_knob_ablation_matches_golden() {
+fn e7_knob_ablation_matches_golden() -> Result<(), StudyError> {
     let single = single_study();
     let deadlines = single.delay_sweep(6);
     assert_golden(
-        &single.knob_ablation(&deadlines[2..5]).to_string(),
+        &single.knob_ablation(&deadlines[2..5])?.to_string(),
         include_str!("golden/e7_knob_ablation.txt"),
         "e7",
     );
+    Ok(())
 }
 
 fn single_study() -> SingleCacheStudy {
@@ -72,14 +75,15 @@ const L2_SIZES: [u64; 3] = [256 * 1024, 1024 * 1024, 4 * 1024 * 1024];
 fn two_level_study() -> &'static TwoLevelStudy {
     static STUDY: OnceLock<TwoLevelStudy> = OnceLock::new();
     STUDY.get_or_init(|| {
-        let missrates = MissRateTable::build(
+        let missrates = MissRateTable::try_build(
             &L1_SIZES,
             &L2_SIZES,
             &STANDARD_SUITES,
             2005,
             400_000,
             400_000,
-        );
+        )
+        .expect("legal sizes");
         TwoLevelStudy::new(
             missrates,
             TechnologyNode::bptm65(),
@@ -138,7 +142,7 @@ fn e5_l1_sweep_matches_golden() {
 }
 
 #[test]
-fn x4_split_l1_matches_golden() {
+fn x4_split_l1_matches_golden() -> Result<(), StudyError> {
     let split = SplitL1Study::new(
         16 * 1024,
         16 * 1024,
@@ -146,13 +150,13 @@ fn x4_split_l1_matches_golden() {
         SuiteKind::Spec2000,
         200_000,
         KnobGrid::coarse(),
-    )
-    .expect("valid configuration");
+    )?;
     assert_golden(
-        &split.to_table(&[0.10, 0.20]).to_string(),
+        &split.to_table(&[0.10, 0.20])?.to_string(),
         include_str!("golden/x4_split_l1.txt"),
         "x4",
     );
+    Ok(())
 }
 
 #[test]
@@ -177,7 +181,7 @@ fn e8_mixed_tech_matches_golden() {
 }
 
 #[test]
-fn e6_tuple_table_matches_golden() {
+fn e6_tuple_table_matches_golden() -> Result<(), StudyError> {
     let stats = PairStats {
         l1_miss_rate: 0.05,
         l2_local_miss_rate: 0.25,
@@ -192,8 +196,7 @@ fn e6_tuple_table_matches_golden() {
         &TechnologyNode::bptm65(),
         KnobGrid::coarse(),
         MainMemory::default(),
-    )
-    .expect("valid configuration");
+    )?;
     assert_golden(
         &memsys
             .tuple_table(
@@ -203,9 +206,10 @@ fn e6_tuple_table_matches_golden() {
                     TupleCounts { n_tox: 1, n_vth: 2 },
                 ],
                 &memsys.amat_sweep(4),
-            )
+            )?
             .to_string(),
         include_str!("golden/e6_tuple_table.txt"),
         "e6",
     );
+    Ok(())
 }

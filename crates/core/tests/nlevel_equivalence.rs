@@ -100,7 +100,11 @@ fn sram_two_level_spec_is_bitwise_identical_to_the_old_construction() {
     // nothing is shared by accident.
     let old_eval = Evaluator::new(grid.clone());
     let new_eval = Evaluator::new(grid);
-    assert_eq!(old_eval.groups(&old_spec), new_eval.groups(&new_spec));
+    let old_groups = old_eval.try_groups(&old_spec).expect("healthy build");
+    assert_eq!(
+        old_groups,
+        new_eval.try_groups(&new_spec).expect("healthy build")
+    );
 
     let deadlines = [2.0e-9, 3.5e-9, 6.0e-9];
     for d in deadlines {
@@ -141,8 +145,8 @@ fn non_sram_technology_changes_groups_and_names() {
         CostKind::LeakagePower,
     );
     let eval = Evaluator::new(KnobGrid::coarse());
-    let sram_groups = eval.groups(&sram);
-    let mram_groups = eval.groups(&mram);
+    let sram_groups = eval.try_groups(&sram).expect("healthy build");
+    let mram_groups = eval.try_groups(&mram).expect("healthy build");
     assert_eq!(sram_groups.len(), mram_groups.len());
     assert!(mram_groups.iter().all(|g| g.name().contains("[stt-mram]")));
     assert!(sram_groups.iter().all(|g| !g.name().contains('[')));

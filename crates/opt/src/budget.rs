@@ -7,7 +7,7 @@
 //! `0..=g` within budget bin `b`. The result is within one bin of the
 //! exact optimum (delays round *up*, so feasibility is never violated).
 //!
-//! [`crate::merge::system_front`] is exact and usually faster for the
+//! [`crate::merge::try_system_front`] is exact and usually faster for the
 //! group sizes in this workspace; the DP exists as an independent
 //! implementation for cross-checking and for callers whose group
 //! candidate sets are too large to merge.
@@ -144,7 +144,7 @@ pub fn solve_budget_dp(groups: &[Group], deadline: f64, bins: usize) -> Option<B
 mod tests {
     use super::*;
     use crate::constraint::best_under_deadline;
-    use crate::merge::system_front;
+    use crate::merge::try_system_front;
     use nm_device::units::{Angstroms, Volts};
 
     fn k(vth: f64, tox: f64) -> KnobPoint {
@@ -173,7 +173,7 @@ mod tests {
             grid_group("b", 1.7),
             grid_group("c", 0.6),
         ];
-        let front = system_front(&groups);
+        let front = try_system_front(&groups).expect("non-empty system");
         for deadline in [8.5, 10.0, 12.0, 15.0] {
             let exact = best_under_deadline(&front, deadline).expect("feasible");
             let dp = solve_budget_dp(&groups, deadline, 2000).expect("feasible");

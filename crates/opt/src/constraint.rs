@@ -17,7 +17,7 @@ pub fn optimum<'a, C: Constraint>(
 /// point).
 ///
 /// `front` must be sorted by ascending delay with descending cost, as
-/// produced by [`crate::merge::system_front`].
+/// produced by [`crate::merge::try_system_front`].
 pub fn best_under_deadline(front: &[FrontPoint], deadline: f64) -> Option<&FrontPoint> {
     // The front is cost-descending in delay, so the *slowest* feasible
     // point is the cheapest feasible one.

@@ -27,7 +27,7 @@
 //! [`MergeBase`] retains every intermediate layer (cheaply, behind `Arc`).
 //! When a system is re-merged and only a suffix of its groups changed —
 //! the restricted solves of the deadline studies mutate one group at a
-//! time — [`system_front_with_base`] reuses the longest unchanged prefix
+//! time — [`MergeBase::try_new_with_bases`] reuses the longest unchanged prefix
 //! of layers verbatim. Because each layer is a pure left-fold over the
 //! pruned group fronts, a reused prefix is bit-identical to recomputing
 //! it (float addition is reassociated nowhere).
@@ -52,9 +52,8 @@ pub struct FrontPoint {
     pub choice: Vec<KnobPoint>,
 }
 
-/// A system had no groups to merge — the typed form of the
-/// [`system_front`] panic, for callers that must degrade gracefully
-/// (e.g. a zero-level hierarchy spec reaching the evaluation engine).
+/// A system had no groups to merge (e.g. a zero-level hierarchy spec
+/// reaching the evaluation engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmptySystemError;
 
@@ -195,15 +194,6 @@ impl MergeBase {
         Self::try_new_with_bases(groups, []).map(|(base, _)| base)
     }
 
-    /// Merges `groups`, resuming from `base` where its group prefix is
-    /// unchanged. Returns the new base and the number of reused layers.
-    pub fn try_with_base(
-        groups: &[Group],
-        base: &MergeBase,
-    ) -> Result<(Self, usize), EmptySystemError> {
-        Self::try_new_with_bases(groups, [base])
-    }
-
     /// Merges `groups`, resuming from whichever of `bases` shares the
     /// longest unchanged pruned-group prefix. Returns the new base and
     /// the number of layers reused from it (0 when merged from scratch).
@@ -291,42 +281,12 @@ impl MergeBase {
 /// descending cost. Each point's `choice[i]` is the knob pair selected for
 /// `groups[i]`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when `groups` is empty — a system needs at least one group.
-/// Callers that must not abort use [`try_system_front`].
-#[expect(
-    clippy::expect_used,
-    reason = "documented panicking wrapper: group emptiness is asserted directly above; try_system_front is the fallible API"
-)]
-pub fn system_front(groups: &[Group]) -> Vec<FrontPoint> {
-    assert!(!groups.is_empty(), "system_front needs at least one group");
-    try_system_front(groups).expect("group emptiness was just checked")
-}
-
-/// [`system_front`] with the empty-system case routed through a typed
-/// error instead of a panic.
+/// [`EmptySystemError`] when `groups` is empty — a system needs at least
+/// one group.
 pub fn try_system_front(groups: &[Group]) -> Result<Vec<FrontPoint>, EmptySystemError> {
     MergeBase::try_new(groups).map(|base| base.front())
-}
-
-/// [`system_front`] resuming from a previous merge: layers covering the
-/// unchanged pruned-group prefix of `base` are reused verbatim (they are
-/// bit-identical by construction). Returns the front and the number of
-/// reused layers.
-///
-/// # Panics
-///
-/// Panics when `groups` is empty.
-#[expect(
-    clippy::expect_used,
-    reason = "documented panicking wrapper: group emptiness is asserted directly above; MergeBase::try_with_base is the fallible API"
-)]
-pub fn system_front_with_base(groups: &[Group], base: &MergeBase) -> (Vec<FrontPoint>, usize) {
-    assert!(!groups.is_empty(), "system_front needs at least one group");
-    let (merged, reused) =
-        MergeBase::try_with_base(groups, base).expect("group emptiness was just checked");
-    (merged.front(), reused)
 }
 
 /// Computes the front when every group is forced to share **one** knob
@@ -372,6 +332,10 @@ mod tests {
         KnobPoint::new(Volts(vth), Angstroms(tox)).unwrap()
     }
 
+    fn front(groups: &[Group]) -> Vec<FrontPoint> {
+        try_system_front(groups).expect("non-empty system")
+    }
+
     fn group(name: &str, points: &[(f64, f64, f64, f64)]) -> Group {
         Group::new(
             name,
@@ -392,7 +356,7 @@ mod tests {
                 (0.4, 10.0, 3.0, 2.0),
             ],
         );
-        let f = system_front(&[g]);
+        let f = front(&[g]);
         assert_eq!(f.len(), 2);
         assert_eq!(f[0].choice.len(), 1);
     }
@@ -416,7 +380,7 @@ mod tests {
                 (0.5, 12.0, 5.0, 0.5),
             ],
         );
-        let front = system_front(&[ga.clone(), gb.clone()]);
+        let front = front(&[ga.clone(), gb.clone()]);
 
         // Brute force: every combination, then check front optimality for
         // every deadline.
@@ -448,7 +412,7 @@ mod tests {
     fn front_points_carry_consistent_choices() {
         let ga = group("a", &[(0.2, 10.0, 1.0, 9.0), (0.4, 10.0, 4.0, 1.0)]);
         let gb = group("b", &[(0.2, 12.0, 1.5, 7.0), (0.5, 12.0, 5.0, 0.5)]);
-        let front = system_front(&[ga.clone(), gb.clone()]);
+        let front = front(&[ga.clone(), gb.clone()]);
         for p in &front {
             assert_eq!(p.choice.len(), 2);
             // Recompute delay/cost from the chosen candidates.
@@ -484,7 +448,7 @@ mod tests {
         let ga = group("a", &[(0.2, 10.0, 1.0, 9.0), (0.4, 10.0, 4.0, 1.0)]);
         let gb = group("b", &[(0.2, 10.0, 1.5, 7.0), (0.4, 10.0, 5.0, 0.5)]);
         let tied = tied_front(&[ga.clone(), gb.clone()]);
-        let free = system_front(&[ga, gb]);
+        let free = front(&[ga, gb]);
         for t in &tied {
             let best_free = free
                 .iter()
@@ -493,12 +457,6 @@ mod tests {
                 .fold(f64::INFINITY, f64::min);
             assert!(best_free <= t.cost + 1e-12);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one group")]
-    fn empty_system_panics() {
-        let _ = system_front(&[]);
     }
 
     #[test]
@@ -527,7 +485,7 @@ mod tests {
             ],
         );
         let clean = group("b", &[(0.2, 12.0, 1.5, 7.0), (0.5, 12.0, 5.0, 0.5)]);
-        let front = system_front(&[poisoned, clean]);
+        let front = front(&[poisoned, clean]);
         assert!(!front.is_empty());
         for p in &front {
             assert!(p.delay.is_finite() && p.cost.is_finite());
@@ -553,16 +511,16 @@ mod tests {
         // Mutate only the last group: the first two layers are reusable.
         let gc2 = group("c", &[(0.3, 14.0, 1.0, 2.0), (0.5, 14.0, 3.0, 0.1)]);
         let system = [ga.clone(), gb.clone(), gc2.clone()];
-        let (incremental, reused) = system_front_with_base(&system, &base);
+        let (merged, reused) = MergeBase::try_new_with_bases(&system, [&base]).unwrap();
         assert_eq!(reused, 2);
-        assert_eq!(incremental, system_front(&system));
+        assert_eq!(merged.front(), front(&system));
 
         // Mutate the first group: nothing is reusable, result still equal.
         let ga2 = group("a", &[(0.25, 10.0, 1.2, 8.0), (0.45, 10.0, 4.5, 0.9)]);
         let system = [ga2, gb, gc];
-        let (incremental, reused) = system_front_with_base(&system, &base);
+        let (merged, reused) = MergeBase::try_new_with_bases(&system, [&base]).unwrap();
         assert_eq!(reused, 0);
-        assert_eq!(incremental, system_front(&system));
+        assert_eq!(merged.front(), front(&system));
     }
 
     #[test]
@@ -572,7 +530,7 @@ mod tests {
             group("b", &[(0.2, 12.0, 1.5, 7.0), (0.5, 12.0, 5.0, 0.5)]),
         ];
         let base = MergeBase::try_new(&system).unwrap();
-        let (refreshed, reused) = MergeBase::try_with_base(&system, &base).unwrap();
+        let (refreshed, reused) = MergeBase::try_new_with_bases(&system, [&base]).unwrap();
         assert_eq!(reused, 2);
         assert_eq!(refreshed.group_count(), 2);
         assert_eq!(refreshed.front(), base.front());
@@ -589,6 +547,6 @@ mod tests {
         let system = [ga, gb, gc];
         let (merged, reused) = MergeBase::try_new_with_bases(&system, [&shallow, &deep]).unwrap();
         assert_eq!(reused, 3);
-        assert_eq!(merged.front(), system_front(&system));
+        assert_eq!(merged.front(), front(&system));
     }
 }

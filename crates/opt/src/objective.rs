@@ -52,7 +52,7 @@ pub trait Objective: Sync {
 /// Selects the optimal point of a system Pareto front.
 ///
 /// `front` is sorted by ascending delay with descending cost, as produced
-/// by [`crate::merge::system_front`].
+/// by [`crate::merge::try_system_front`].
 pub trait Constraint: Sync {
     /// The constraint's scalar limit (a deadline in seconds, a cost
     /// budget, …) — solvers that penalise violations (the annealer) scale

@@ -7,7 +7,7 @@
 //! oxide thicknesses from a grid, solves the assignment problem under each
 //! restriction, and keeps the best frontier.
 
-use crate::merge::{system_front, FrontPoint};
+use crate::merge::{try_system_front, EmptySystemError, FrontPoint};
 use crate::objective::{Constraint, Deadline};
 use crate::Group;
 use serde::{Deserialize, Serialize};
@@ -71,6 +71,10 @@ pub struct TupleSolution {
 ///
 /// The cost is exponential in the axis sizes — callers use a coarse grid
 /// (the paper's Figure 2 does the same; it reports small tuple counts).
+///
+/// # Errors
+///
+/// [`EmptySystemError`] when `groups` is empty.
 pub fn optimize_with_tuple_counts(
     groups: &[Group],
     vth_axis: &[f64],
@@ -78,7 +82,7 @@ pub fn optimize_with_tuple_counts(
     n_vth: usize,
     n_tox: usize,
     deadlines: &[f64],
-) -> Vec<Option<TupleSolution>> {
+) -> Result<Vec<Option<TupleSolution>>, EmptySystemError> {
     let constraints: Vec<Deadline> = deadlines.iter().map(|&d| Deadline(d)).collect();
     optimize_with_tuples(groups, vth_axis, tox_axis, n_vth, n_tox, &constraints)
 }
@@ -87,6 +91,10 @@ pub fn optimize_with_tuple_counts(
 /// system cost at each [`Constraint`] under the same value-count
 /// restriction. Returns, per constraint, the best solution over all
 /// value-set choices (`None` where infeasible).
+///
+/// # Errors
+///
+/// [`EmptySystemError`] when `groups` is empty.
 pub fn optimize_with_tuples<C: Constraint>(
     groups: &[Group],
     vth_axis: &[f64],
@@ -94,7 +102,10 @@ pub fn optimize_with_tuples<C: Constraint>(
     n_vth: usize,
     n_tox: usize,
     constraints: &[C],
-) -> Vec<Option<TupleSolution>> {
+) -> Result<Vec<Option<TupleSolution>>, EmptySystemError> {
+    if groups.is_empty() {
+        return Err(EmptySystemError);
+    }
     let vth_sets = combinations(vth_axis, n_vth);
     let tox_sets = combinations(tox_axis, n_tox);
     let mut best: Vec<Option<TupleSolution>> = vec![None; constraints.len()];
@@ -107,7 +118,7 @@ pub fn optimize_with_tuples<C: Constraint>(
             let Some(restricted) = restricted else {
                 continue;
             };
-            let front = system_front(&restricted);
+            let front = try_system_front(&restricted)?;
             for (slot, constraint) in best.iter_mut().zip(constraints) {
                 if let Some(point) = constraint.select(&front) {
                     let better = match slot {
@@ -125,7 +136,7 @@ pub fn optimize_with_tuples<C: Constraint>(
             }
         }
     }
-    best
+    Ok(best)
 }
 
 #[cfg(test)]
@@ -162,14 +173,14 @@ mod tests {
     }
 
     #[test]
-    fn more_values_never_hurt() {
+    fn more_values_never_hurt() -> Result<(), EmptySystemError> {
         let groups = vec![grid_group("a", 1.0), grid_group("b", 2.0)];
         let vth_axis = [0.2, 0.35, 0.5];
         let tox_axis = [10.0, 12.0, 14.0];
         let deadlines = [6.0, 8.0, 10.0];
-        let one = optimize_with_tuple_counts(&groups, &vth_axis, &tox_axis, 1, 1, &deadlines);
-        let two = optimize_with_tuple_counts(&groups, &vth_axis, &tox_axis, 2, 2, &deadlines);
-        let full = optimize_with_tuple_counts(&groups, &vth_axis, &tox_axis, 3, 3, &deadlines);
+        let one = optimize_with_tuple_counts(&groups, &vth_axis, &tox_axis, 1, 1, &deadlines)?;
+        let two = optimize_with_tuple_counts(&groups, &vth_axis, &tox_axis, 2, 2, &deadlines)?;
+        let full = optimize_with_tuple_counts(&groups, &vth_axis, &tox_axis, 3, 3, &deadlines)?;
         for i in 0..deadlines.len() {
             if let (Some(a), Some(b)) = (&one[i], &two[i]) {
                 assert!(b.point.cost <= a.point.cost + 1e-12, "deadline {i}");
@@ -178,6 +189,7 @@ mod tests {
                 assert!(c.point.cost <= b.point.cost + 1e-12, "deadline {i}");
             }
         }
+        Ok(())
     }
 
     #[test]
@@ -190,7 +202,8 @@ mod tests {
             2,
             1,
             &[8.0],
-        );
+        )
+        .expect("non-empty system");
         let sol = sols[0].as_ref().expect("feasible");
         assert_eq!(sol.vths.len(), 2);
         assert_eq!(sol.toxes.len(), 1);
@@ -210,7 +223,16 @@ mod tests {
             1,
             1,
             &[0.1],
-        );
+        )
+        .expect("non-empty system");
         assert!(sols[0].is_none());
+    }
+
+    #[test]
+    fn empty_system_is_a_typed_error() {
+        assert_eq!(
+            optimize_with_tuple_counts(&[], &[0.2], &[10.0], 1, 1, &[1.0]),
+            Err(EmptySystemError)
+        );
     }
 }

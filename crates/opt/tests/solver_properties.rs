@@ -5,7 +5,7 @@ use nm_device::KnobPoint;
 use nm_opt::anneal::{anneal, AnnealConfig};
 use nm_opt::budget::solve_budget_dp;
 use nm_opt::constraint::{best_under_deadline, deadline_sweep, fastest_under_budget};
-use nm_opt::merge::{system_front, system_front_with_base, MergeBase};
+use nm_opt::merge::{try_system_front, MergeBase};
 use nm_opt::tuple::{combinations, optimize_with_tuple_counts};
 use nm_opt::{Candidate, Group};
 use proptest::prelude::*;
@@ -39,7 +39,7 @@ proptest! {
     /// System fronts are sorted by delay with strictly decreasing cost.
     #[test]
     fn fronts_are_sorted_and_strict(g1 in arb_group("a"), g2 in arb_group("b")) {
-        let front = system_front(&[g1, g2]);
+        let front = try_system_front(&[g1, g2]).expect("non-empty system");
         prop_assert!(!front.is_empty());
         for w in front.windows(2) {
             prop_assert!(w[0].delay < w[1].delay);
@@ -50,7 +50,7 @@ proptest! {
     /// Deadline and budget queries are consistent duals on any front.
     #[test]
     fn deadline_budget_duality(g in arb_group("a"), frac in 0.0f64..1.0) {
-        let front = system_front(&[g]);
+        let front = try_system_front(&[g]).expect("non-empty system");
         let sweep = deadline_sweep(&front, 10);
         let idx = ((frac * 9.0) as usize).min(sweep.len() - 1);
         let deadline = sweep[idx];
@@ -65,7 +65,7 @@ proptest! {
     /// Relaxing the deadline never increases the optimal cost.
     #[test]
     fn cost_monotone_in_deadline(g1 in arb_group("a"), g2 in arb_group("b")) {
-        let front = system_front(&[g1, g2]);
+        let front = try_system_front(&[g1, g2]).expect("non-empty system");
         let sweep = deadline_sweep(&front, 8);
         let mut prev = f64::INFINITY;
         for d in sweep {
@@ -81,7 +81,7 @@ proptest! {
     #[test]
     fn annealing_bounded_by_exact(g1 in arb_group("a"), g2 in arb_group("b"), frac in 0.2f64..1.0) {
         let groups = vec![g1, g2];
-        let front = system_front(&groups);
+        let front = try_system_front(&groups).expect("non-empty system");
         let lo = front.first().unwrap().delay;
         let hi = front.last().unwrap().delay;
         let deadline = lo + (hi - lo) * frac;
@@ -115,8 +115,8 @@ proptest! {
                     .fold(0.0f64, f64::max)
             })
             .sum();
-        let one = optimize_with_tuple_counts(&groups, &vth_axis, &tox_axis, 1, 1, &[deadline]);
-        let two = optimize_with_tuple_counts(&groups, &vth_axis, &tox_axis, 2, 2, &[deadline]);
+        let one = optimize_with_tuple_counts(&groups, &vth_axis, &tox_axis, 1, 1, &[deadline]).expect("non-empty system");
+        let two = optimize_with_tuple_counts(&groups, &vth_axis, &tox_axis, 2, 2, &[deadline]).expect("non-empty system");
         let s1 = one[0].as_ref().expect("relaxed deadline is feasible");
         let s2 = two[0].as_ref().expect("relaxed deadline is feasible");
         prop_assert!(s1.vths.len() == 1 && s1.toxes.len() == 1);
@@ -133,7 +133,7 @@ proptest! {
     #[test]
     fn dp_agrees_with_merge(g1 in arb_group("a"), g2 in arb_group("b"), frac in 0.05f64..1.0) {
         let groups = vec![g1, g2];
-        let front = system_front(&groups);
+        let front = try_system_front(&groups).expect("non-empty system");
         let lo = front.first().unwrap().delay;
         let hi = front.last().unwrap().delay;
         let deadline = lo + (hi - lo) * frac;
@@ -173,9 +173,9 @@ proptest! {
             .map(|c| Candidate::new(c.knobs, c.delay, c.cost * 1.5 + 0.01))
             .collect();
         mutated[which] = Group::new("mutated", recosted);
-        let (incremental, reused) = system_front_with_base(&mutated, &base);
+        let (incremental, reused) = MergeBase::try_new_with_bases(&mutated, [&base]).expect("non-empty system");
         prop_assert_eq!(reused, which);
-        prop_assert_eq!(incremental, system_front(&mutated));
+        prop_assert_eq!(incremental.front(), try_system_front(&mutated).expect("non-empty system"));
     }
 
     /// `combinations(n, k)` has binomial-coefficient cardinality and only

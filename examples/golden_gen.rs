@@ -34,66 +34,59 @@ fn write(name: &str, contents: String) {
     println!("[golden] {}", path.display());
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // E2 / E7 — single-cache studies on the coarse grid.
     let tech = TechnologyNode::bptm65();
     let single = SingleCacheStudy::new(
-        CacheConfig::new(16 * 1024, 64, 4).expect("valid config"),
+        CacheConfig::new(16 * 1024, 64, 4)?,
         &tech,
         KnobGrid::coarse(),
     );
     let deadlines = single.delay_sweep(6);
     write(
         "e2_scheme_comparison.txt",
-        single.scheme_comparison(&deadlines[1..]).to_string(),
+        single.scheme_comparison(&deadlines[1..])?.to_string(),
     );
     write(
         "e7_knob_ablation.txt",
-        single.knob_ablation(&deadlines[2..5]).to_string(),
+        single.knob_ablation(&deadlines[2..5])?.to_string(),
     );
 
     // E3 / E4 / E5 — two-level studies over a small deterministic
     // miss-rate table (the same table the unit tests use).
     let l1_sizes: [u64; 3] = [8 * 1024, 16 * 1024, 32 * 1024];
     let l2_sizes: [u64; 3] = [256 * 1024, 1024 * 1024, 4 * 1024 * 1024];
-    let missrates = MissRateTable::build(
+    let missrates = MissRateTable::try_build(
         &l1_sizes,
         &l2_sizes,
         &STANDARD_SUITES,
         2005,
         400_000,
         400_000,
-    );
+    )?;
     let two = TwoLevelStudy::new(
         missrates,
         TechnologyNode::bptm65(),
         KnobGrid::coarse(),
         MainMemory::default(),
     );
-    let target = two
-        .amat_target(16 * 1024, &l2_sizes, 0.06)
-        .expect("sizes simulated");
+    let target = two.amat_target(16 * 1024, &l2_sizes, 0.06)?;
     write(
         "e3_l2_sweep_uniform.txt",
-        two.l2_size_sweep(16 * 1024, &l2_sizes, Scheme::Uniform, target)
-            .expect("sizes simulated")
+        two.l2_size_sweep(16 * 1024, &l2_sizes, Scheme::Uniform, target)?
             .to_table()
             .to_string(),
     );
     write(
         "e4_l2_sweep_split.txt",
-        two.l2_size_sweep(16 * 1024, &l2_sizes, Scheme::Split, target)
-            .expect("sizes simulated")
+        two.l2_size_sweep(16 * 1024, &l2_sizes, Scheme::Split, target)?
             .to_table()
             .to_string(),
     );
-    let l1_target = two
-        .amat_target(8 * 1024, &[1024 * 1024], 0.15)
-        .expect("sizes simulated");
+    let l1_target = two.amat_target(8 * 1024, &[1024 * 1024], 0.15)?;
     write(
         "e5_l1_sweep.txt",
-        two.l1_size_sweep(&l1_sizes, 1024 * 1024, l1_target)
-            .expect("sizes simulated")
+        two.l1_size_sweep(&l1_sizes, 1024 * 1024, l1_target)?
             .to_table()
             .to_string(),
     );
@@ -106,9 +99,11 @@ fn main() {
         SuiteKind::Spec2000,
         200_000,
         KnobGrid::coarse(),
-    )
-    .expect("valid configuration");
-    write("x4_split_l1.txt", split.to_table(&[0.10, 0.20]).to_string());
+    )?;
+    write(
+        "x4_split_l1.txt",
+        split.to_table(&[0.10, 0.20])?.to_string(),
+    );
 
     // E6 — Figure 2 tuple curves with pinned miss-rate statistics.
     let stats = PairStats {
@@ -125,8 +120,7 @@ fn main() {
         &TechnologyNode::bptm65(),
         KnobGrid::coarse(),
         MainMemory::default(),
-    )
-    .expect("valid configuration");
+    )?;
     let tuples = [
         TupleCounts { n_tox: 2, n_vth: 2 },
         TupleCounts { n_tox: 2, n_vth: 1 },
@@ -135,13 +129,13 @@ fn main() {
     write(
         "e6_tuple_table.txt",
         memsys
-            .tuple_table(&tuples, &memsys.amat_sweep(4))
+            .tuple_table(&tuples, &memsys.amat_sweep(4))?
             .to_string(),
     );
 
     // E8 — three-level mixed-technology comparison. Matches the CLI's
     // `nmcache e8 --quick` defaults exactly, so CI can diff the two.
-    let mixed = MixedTechStudy::standard(true).expect("standard study builds");
+    let mixed = MixedTechStudy::standard(true)?;
     write(
         "e8_mixed_tech.txt",
         mixed
@@ -152,9 +146,9 @@ fn main() {
                     TechProfile::stt_mram(),
                 ],
                 0.15,
-            )
-            .expect("all candidates evaluable")
+            )?
             .to_table()
             .to_string(),
     );
+    Ok(())
 }

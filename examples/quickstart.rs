@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let study = SingleCacheStudy::new(config, &tech, KnobGrid::paper());
     let deadline = circuit.fastest_access_time() * 1.10;
     let solution = study
-        .optimize(Scheme::Split, deadline)
+        .optimize(Scheme::Split, deadline)?
         .expect("10% slack is feasible");
     println!(
         "\nScheme II optimum at {:.0} ps deadline:",

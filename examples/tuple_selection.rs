@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         l2 / 1024
     );
     let suites = [SuiteKind::Spec2000, SuiteKind::TpcC, SuiteKind::SpecWeb];
-    let table = MissRateTable::build(&[l1], &[l2], &suites, 2005, 300_000, 600_000);
+    let table = MissRateTable::try_build(&[l1], &[l2], &suites, 2005, 300_000, 600_000)?;
     let stats = *table.get(l1, l2).expect("pair simulated");
     println!(
         "m1 = {:.4}, m2 = {:.4}",
@@ -48,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         study.amat_floor().picos()
     );
 
-    let curves = study.tuple_curves(&TupleCounts::FIGURE2, &targets);
-    println!("\n{}", study.tuple_table(&TupleCounts::FIGURE2, &targets));
+    let curves = study.tuple_curves(&TupleCounts::FIGURE2, &targets)?;
+    println!("\n{}", study.tuple_table(&TupleCounts::FIGURE2, &targets)?);
 
     // Who wins where?
     println!("\nper-target winners:");

@@ -6,7 +6,7 @@ use nmcache::archsim::trace::{
     read_trace, read_trace_binary, TraceError, TraceWorkload, BINARY_MAGIC,
 };
 use nmcache::archsim::workload::{SuiteKind, Workload};
-use nmcache::archsim::MissRateTable;
+use nmcache::archsim::{MissRateTable, SimError};
 use nmcache::cli::{
     self, BenchdiffOptions, CampaignOptions, CliError, Command, LoadgenOptions, LogLevelArg,
     Options, SchemeArg,
@@ -98,8 +98,8 @@ impl From<nmcache::geometry::GeometryError> for AppError {
     }
 }
 
-impl From<nmcache::archsim::SimError> for AppError {
-    fn from(e: nmcache::archsim::SimError) -> Self {
+impl From<SimError> for AppError {
+    fn from(e: SimError) -> Self {
         AppError::Study(e.into())
     }
 }
@@ -368,7 +368,7 @@ fn run(command: Command) -> Result<(), AppError> {
             emit(&table, &opts)
         }
         Command::Fig2(opts) => {
-            let missrates = build_missrates(&[opts.l1_bytes], &[opts.l2_bytes], opts.quick);
+            let missrates = build_missrates(&[opts.l1_bytes], &[opts.l2_bytes], opts.quick)?;
             let stats = *missrates.get(opts.l1_bytes, opts.l2_bytes).ok_or(
                 StudyError::MissingMissRates {
                     l1_bytes: opts.l1_bytes,
@@ -384,12 +384,12 @@ fn run(command: Command) -> Result<(), AppError> {
                 MainMemory::default(),
             )?;
             let targets = study.amat_sweep(opts.steps);
-            let curves = study.tuple_curves(&TupleCounts::FIGURE2, &targets);
+            let curves = study.tuple_curves(&TupleCounts::FIGURE2, &targets)?;
             println!(
                 "{}",
                 nmcache::core::plot::ascii_plot(&curves, 72, 22, "AMAT (ps)", "total energy (pJ)")
             );
-            emit(&study.tuple_table(&TupleCounts::FIGURE2, &targets), &opts)
+            emit(&study.tuple_table(&TupleCounts::FIGURE2, &targets)?, &opts)
         }
         Command::Schemes(opts) => {
             let study = SingleCacheStudy::paper_16kb()?;
@@ -398,7 +398,7 @@ fn run(command: Command) -> Result<(), AppError> {
                 .into_iter()
                 .skip(1)
                 .collect();
-            emit(&study.scheme_comparison(&deadlines), &opts)
+            emit(&study.scheme_comparison(&deadlines)?, &opts)
         }
         Command::Ablation(opts) => {
             let study = SingleCacheStudy::paper_16kb()?;
@@ -407,7 +407,7 @@ fn run(command: Command) -> Result<(), AppError> {
                 .into_iter()
                 .skip(2)
                 .collect();
-            emit(&study.knob_ablation(&deadlines), &opts)
+            emit(&study.knob_ablation(&deadlines)?, &opts)
         }
         Command::Fit(opts) => {
             let tech = TechnologyNode::bptm65();
@@ -449,7 +449,7 @@ fn run(command: Command) -> Result<(), AppError> {
             emit(&table, &opts)
         }
         Command::L2Sweep(opts) => {
-            let study = TwoLevelStudy::standard(opts.quick);
+            let study = TwoLevelStudy::standard(opts.quick)?;
             let l2_sizes = TwoLevelStudy::standard_l2_sizes();
             let target = study.amat_target(opts.l1_bytes, &l2_sizes, opts.slack)?;
             let sweep =
@@ -461,7 +461,7 @@ fn run(command: Command) -> Result<(), AppError> {
             Ok(())
         }
         Command::L1Sweep(opts) => {
-            let study = TwoLevelStudy::standard(opts.quick);
+            let study = TwoLevelStudy::standard(opts.quick)?;
             let l1_sizes = TwoLevelStudy::standard_l1_sizes();
             let mut best = f64::INFINITY;
             for &l1 in &l1_sizes {
@@ -480,7 +480,7 @@ fn run(command: Command) -> Result<(), AppError> {
                 &TwoLevelStudy::standard_l1_sizes(),
                 &TwoLevelStudy::standard_l2_sizes(),
                 opts.quick,
-            );
+            )?;
             let mut out = Table::new(
                 format!("Miss rates averaged over {:?}", table.suites()),
                 &["L1 (KB)", "L2 (KB)", "m1", "m2", "global"],
@@ -504,17 +504,17 @@ fn run(command: Command) -> Result<(), AppError> {
                 .into_iter()
                 .skip(2)
                 .collect();
-            emit(&vs.to_table(&deadlines), &opts)
+            emit(&vs.to_table(&deadlines)?, &opts)
         }
         Command::Thermal(opts) => {
             let study = ThermalStudy::paper_16kb()?;
-            emit(&study.to_table(opts.slack), &opts)
+            emit(&study.to_table(opts.slack)?, &opts)
         }
         Command::Decay(opts) => {
             let single = SingleCacheStudy::paper_16kb()?;
             let study = DecayStudy::new(single, suite_of(&opts)?, 300_000);
             let deadline = study.study().delay_sweep(5)[2] * (1.0 + opts.slack - 0.15);
-            emit(&study.to_table(deadline), &opts)
+            emit(&study.to_table(deadline)?, &opts)
         }
         Command::SplitL1(opts) => {
             let study = SplitL1Study::new(
@@ -525,7 +525,7 @@ fn run(command: Command) -> Result<(), AppError> {
                 if opts.quick { 150_000 } else { 500_000 },
                 KnobGrid::paper(),
             )?;
-            emit(&study.to_table(&[0.08, opts.slack, 0.30]), &opts)
+            emit(&study.to_table(&[0.08, opts.slack, 0.30])?, &opts)
         }
         Command::TraceSim(opts) => {
             // The parser guarantees --trace was given; fail as a usage
@@ -807,11 +807,11 @@ fn tech_of(name: Option<&str>) -> Result<TechProfile, AppError> {
     }
 }
 
-fn build_missrates(l1_sizes: &[u64], l2_sizes: &[u64], quick: bool) -> MissRateTable {
+fn build_missrates(l1: &[u64], l2: &[u64], quick: bool) -> Result<MissRateTable, SimError> {
     let (warmup, measure) = if quick {
         (50_000, 100_000)
     } else {
         (300_000, 600_000)
     };
-    MissRateTable::build(l1_sizes, l2_sizes, &STANDARD_SUITES, 2005, warmup, measure)
+    MissRateTable::try_build(l1, l2, &STANDARD_SUITES, 2005, warmup, measure)
 }

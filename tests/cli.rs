@@ -60,14 +60,28 @@ fn unknown_suite_is_a_usage_error_code() {
 
 #[test]
 fn impossible_geometry_is_a_study_error_code() {
-    // 3 KB is not a power of two; the model layer rejects it.
-    let out = nmcache()
-        .args(["fit", "--l1", "3"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(3), "study errors exit with 3");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("error:"), "{err}");
+    // 3 KB is not a power of two; the model layer rejects it, whether it
+    // reaches a circuit model or the miss-rate table.
+    let campaign_out = std::env::temp_dir().join("nmcache-cli-illegal-campaign");
+    let _ = std::fs::remove_dir_all(&campaign_out);
+    for args in [
+        "fit --l1 3",
+        "fig2 --quick --l1 3000 --steps 2",
+        "campaign --quick --l1-sizes 3 --l2-sizes 256 --out",
+    ] {
+        let mut cmd = nmcache();
+        cmd.args(args.split_whitespace());
+        if args.ends_with("--out") {
+            cmd.arg(&campaign_out);
+        }
+        let out = cmd.output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{args}: {err}");
+        assert!(err.contains("error:"), "{args}: {err}");
+        assert!(!err.contains("panicked"), "{args}: {err}");
+    }
+    // The illegal size is reported before the checkpoint is written.
+    assert!(!campaign_out.join("checkpoint.nmck").exists());
 }
 
 #[test]

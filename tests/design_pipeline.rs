@@ -41,6 +41,7 @@ fn explore_then_optimize_then_stress() {
     let deadline = chosen_circuit.fastest_access_time() * 1.15;
     let sol = study
         .optimize(Scheme::Split, deadline)
+        .expect("healthy build")
         .expect("15% slack feasible");
     assert!(sol.access_time.0 <= deadline.0 + 1e-15);
 
@@ -54,7 +55,7 @@ fn explore_then_optimize_then_stress() {
     // *below* nominal when an optimum sits on the knob-range edge: die
     // corners clamp asymmetrically toward lower leakage.)
     let vs = VariationStudy::new(study, VariationModel::typical_65nm(), 100, 5);
-    let rows = vs.evaluate(&[deadline]);
+    let rows = vs.evaluate(&[deadline]).expect("healthy build");
     assert_eq!(rows.len(), 1);
     let r = &rows[0];
     assert!(r.distribution.mean >= r.nominal.0 * 0.6);

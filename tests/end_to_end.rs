@@ -13,20 +13,21 @@ use nmcache::device::units::Seconds;
 use nmcache::device::{KnobGrid, TechnologyNode};
 use nmcache::opt::anneal::{anneal, AnnealConfig};
 use nmcache::opt::constraint::best_under_deadline;
-use nmcache::opt::merge::system_front;
+use nmcache::opt::merge::try_system_front;
 use std::sync::OnceLock;
 
 fn quick_study() -> &'static TwoLevelStudy {
     static STUDY: OnceLock<TwoLevelStudy> = OnceLock::new();
     STUDY.get_or_init(|| {
-        let missrates = MissRateTable::build(
+        let missrates = MissRateTable::try_build(
             &[4 * 1024, 16 * 1024, 64 * 1024],
             &[256 * 1024, 1024 * 1024, 4 * 1024 * 1024],
             &STANDARD_SUITES,
             2005,
             400_000,
             400_000,
-        );
+        )
+        .expect("legal sizes");
         TwoLevelStudy::new(
             missrates,
             TechnologyNode::bptm65(),
@@ -37,25 +38,25 @@ fn quick_study() -> &'static TwoLevelStudy {
 }
 
 #[test]
-fn headline_scheme_ranking_on_paper_grid() {
+fn headline_scheme_ranking_on_paper_grid() -> Result<(), Box<dyn std::error::Error>> {
     // E2 on the paper's fine grid (not the coarse test grid).
-    let study = SingleCacheStudy::paper_16kb().expect("valid");
+    let study = SingleCacheStudy::paper_16kb()?;
     let deadlines = study.delay_sweep(6);
     for &deadline in &deadlines[1..] {
         let l1 = study
-            .optimize(Scheme::PerComponent, deadline)
+            .optimize(Scheme::PerComponent, deadline)?
             .expect("feasible")
             .leakage
             .total()
             .0;
         let l2 = study
-            .optimize(Scheme::Split, deadline)
+            .optimize(Scheme::Split, deadline)?
             .expect("feasible")
             .leakage
             .total()
             .0;
         let l3 = study
-            .optimize(Scheme::Uniform, deadline)
+            .optimize(Scheme::Uniform, deadline)?
             .expect("feasible")
             .leakage
             .total()
@@ -64,6 +65,7 @@ fn headline_scheme_ranking_on_paper_grid() {
         // Scheme II within 10 % of Scheme I on the fine grid.
         assert!(l2 <= l1 * 1.10, "II = {l2:.3e} vs I = {l1:.3e}");
     }
+    Ok(())
 }
 
 #[test]
@@ -142,7 +144,7 @@ fn annealer_confirms_exact_optimizer_on_real_cache() {
         1.0,
         CostKind::LeakagePower,
     );
-    let front = system_front(&groups);
+    let front = try_system_front(&groups).expect("non-empty system");
     let deadline = study.delay_sweep(5)[2];
     let exact = best_under_deadline(&front, deadline.0).expect("feasible");
     let approx = anneal(&groups, deadline.0, AnnealConfig::default(), 99);
@@ -160,12 +162,12 @@ fn annealer_confirms_exact_optimizer_on_real_cache() {
 }
 
 #[test]
-fn figure2_dual_dual_is_near_optimal() {
+fn figure2_dual_dual_is_near_optimal() -> Result<(), Box<dyn std::error::Error>> {
     // E6 headline: the (2 Tox, 2 Vth) curve is within a few percent of
     // (2 Tox, 3 Vth) — "a process with dual Tox and dual Vth is
     // sufficient to achieve near optimal total energy".
     let study = quick_study();
-    let stats = study.stats(16 * 1024, 1024 * 1024).expect("simulated");
+    let stats = study.stats(16 * 1024, 1024 * 1024)?;
     let memsys = MemorySystemStudy::new(
         16 * 1024,
         1024 * 1024,
@@ -173,8 +175,7 @@ fn figure2_dual_dual_is_near_optimal() {
         &TechnologyNode::bptm65(),
         KnobGrid::coarse(),
         MainMemory::default(),
-    )
-    .expect("valid");
+    )?;
     let targets = memsys.amat_sweep(6);
     let curves = memsys.tuple_curves(
         &[
@@ -182,7 +183,7 @@ fn figure2_dual_dual_is_near_optimal() {
             TupleCounts { n_tox: 2, n_vth: 3 },
         ],
         &targets,
-    );
+    )?;
     let dual = &curves[0].points;
     let triple = &curves[1].points;
     assert!(dual.len() >= 4);
@@ -198,14 +199,16 @@ fn figure2_dual_dual_is_near_optimal() {
             d.0
         );
     }
+    Ok(())
 }
 
 #[test]
-fn suite_generators_feed_the_full_pipeline() {
+fn suite_generators_feed_the_full_pipeline() -> Result<(), Box<dyn std::error::Error>> {
     // Sanity: every suite produces nonzero L1 and L2 demand traffic
     // through the standard hierarchy.
     for suite in SuiteKind::ALL {
-        let table = MissRateTable::build(&[16 * 1024], &[512 * 1024], &[suite], 1, 20_000, 40_000);
+        let table =
+            MissRateTable::try_build(&[16 * 1024], &[512 * 1024], &[suite], 1, 20_000, 40_000)?;
         let s = table.get(16 * 1024, 512 * 1024).expect("simulated");
         assert!(s.l1_miss_rate > 0.0, "{}: no L1 misses", suite.name());
         assert!(
@@ -214,6 +217,7 @@ fn suite_generators_feed_the_full_pipeline() {
             suite.name()
         );
     }
+    Ok(())
 }
 
 #[test]

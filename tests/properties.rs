@@ -6,7 +6,7 @@ use nmcache::device::units::{Angstroms, Microns, Volts};
 use nmcache::device::{KnobPoint, Mosfet, TechnologyNode};
 use nmcache::geometry::{CacheCircuit, CacheConfig, ComponentKnobs};
 use nmcache::opt::constraint::best_under_deadline;
-use nmcache::opt::merge::{system_front, tied_front};
+use nmcache::opt::merge::{tied_front, try_system_front};
 use nmcache::opt::pareto::{dominates, prune};
 use nmcache::opt::{Candidate, Group};
 use proptest::prelude::*;
@@ -134,7 +134,7 @@ proptest! {
             )
         };
         let groups = vec![mk(&g1, "a"), mk(&g2, "b"), mk(&g3, "c")];
-        let front = system_front(&groups);
+        let front = try_system_front(&groups).expect("non-empty system");
 
         let mut brute = f64::INFINITY;
         for a in &g1 {
@@ -187,7 +187,7 @@ proptest! {
                 .collect(),
         );
         let tied = tied_front(&[ga.clone(), gb.clone()]);
-        let free = system_front(&[ga, gb]);
+        let free = try_system_front(&[ga, gb]).expect("non-empty system");
         let best_tied = best_under_deadline(&tied, deadline).map(|p| p.cost);
         let best_free = best_under_deadline(&free, deadline).map(|p| p.cost);
         if let Some(t) = best_tied {

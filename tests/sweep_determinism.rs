@@ -38,7 +38,7 @@ fn assert_worker_invariant<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) {
 #[test]
 fn missrate_table_identical_across_worker_counts() {
     assert_worker_invariant(|| {
-        MissRateTable::build(
+        MissRateTable::try_build(
             &[4 * 1024, 16 * 1024],
             &[128 * 1024, 512 * 1024],
             &[SuiteKind::Spec2000, SuiteKind::TpcC],
@@ -46,6 +46,7 @@ fn missrate_table_identical_across_worker_counts() {
             10_000,
             20_000,
         )
+        .expect("legal sizes")
     });
 }
 
@@ -73,7 +74,9 @@ fn tuple_curves_identical_across_worker_counts() {
         TupleCounts { n_tox: 1, n_vth: 2 },
     ];
     assert_worker_invariant(|| {
-        let curves = study.tuple_curves(&tuples, &targets);
+        let curves = study
+            .tuple_curves(&tuples, &targets)
+            .expect("healthy build");
         // Compare the raw bits: "bit-identical" is the executor contract.
         curves
             .into_iter()
