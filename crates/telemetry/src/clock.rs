@@ -12,7 +12,7 @@
 //!
 //! A `Stopwatch` is always live (it does not check the registry gate):
 //! callers that feed durations into their own data structures, like the
-//! executor's `SweepStats::wall`, need real readings whether or not
+//! load generator's latency samples, need real readings whether or not
 //! telemetry records. The [`observe`](Stopwatch::observe) convenience
 //! *is* gated, like every other registry entry point.
 

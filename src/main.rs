@@ -239,23 +239,11 @@ fn finish_telemetry(plan: &TelemetryPlan) -> Result<(), AppError> {
         })?;
         eprintln!("[trace] {}", path.display());
     }
-    if plan.show_stats {
-        let recorded: Vec<nmcache::sweep::SweepStats> = snapshot
-            .sweeps
-            .iter()
-            .map(|r| nmcache::sweep::SweepStats {
-                label: r.label.clone(),
-                items: r.items,
-                workers: r.workers,
-                wall: std::time::Duration::from_nanos(r.wall_ns),
-                faults: r.faults,
-                retries: r.retries,
-                poisoned_workers: r.poisoned_workers,
-            })
-            .collect();
-        if !recorded.is_empty() {
-            println!("\n{}", nmcache::core::report::sweep_stats_table(&recorded));
-        }
+    if plan.show_stats && !snapshot.sweeps.is_empty() {
+        println!(
+            "\n{}",
+            nmcache::core::report::sweep_stats_table(&snapshot.sweeps)
+        );
     }
     Ok(())
 }
@@ -368,7 +356,12 @@ fn run(command: Command) -> Result<(), AppError> {
             emit(&table, &opts)
         }
         Command::Fig2(opts) => {
-            let missrates = build_missrates(&[opts.l1_bytes], &[opts.l2_bytes], opts.quick)?;
+            let missrates = build_missrates(
+                &[opts.l1_bytes],
+                &[opts.l2_bytes],
+                &STANDARD_SUITES,
+                opts.quick,
+            )?;
             let stats = *missrates.get(opts.l1_bytes, opts.l2_bytes).ok_or(
                 StudyError::MissingMissRates {
                     l1_bytes: opts.l1_bytes,
@@ -476,9 +469,14 @@ fn run(command: Command) -> Result<(), AppError> {
             Ok(())
         }
         Command::MissRates(opts) => {
+            let suites = match opts.suite {
+                None => STANDARD_SUITES.to_vec(),
+                Some(_) => vec![suite_of(&opts)?],
+            };
             let table = build_missrates(
                 &TwoLevelStudy::standard_l1_sizes(),
                 &TwoLevelStudy::standard_l2_sizes(),
+                &suites,
                 opts.quick,
             )?;
             let mut out = Table::new(
@@ -807,11 +805,16 @@ fn tech_of(name: Option<&str>) -> Result<TechProfile, AppError> {
     }
 }
 
-fn build_missrates(l1: &[u64], l2: &[u64], quick: bool) -> Result<MissRateTable, SimError> {
+fn build_missrates(
+    l1: &[u64],
+    l2: &[u64],
+    suites: &[SuiteKind],
+    quick: bool,
+) -> Result<MissRateTable, SimError> {
     let (warmup, measure) = if quick {
         (50_000, 100_000)
     } else {
         (300_000, 600_000)
     };
-    MissRateTable::try_build(l1, l2, &STANDARD_SUITES, 2005, warmup, measure)
+    MissRateTable::try_build(l1, l2, suites, 2005, warmup, measure)
 }

@@ -199,6 +199,59 @@ fn unknown_suite_is_rejected() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown suite"));
 }
 
+#[test]
+fn missrates_honours_suite() {
+    let run = |args: &[&str]| {
+        let out = nmcache().args(args).output().expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let averaged = run(&["missrates", "--quick"]);
+    let tpcc = run(&["missrates", "--quick", "--suite", "tpcc"]);
+    assert!(
+        tpcc.contains(r#"Miss rates averaged over ["tpcc-like"]"#),
+        "{tpcc}"
+    );
+    // Same header and sizes below the title, other rates.
+    let rows = |text: &str| text.lines().skip(1).collect::<Vec<_>>().join("\n");
+    assert_ne!(rows(&averaged), rows(&tpcc));
+
+    let out = nmcache()
+        .args(["missrates", "--quick", "--suite", "nope"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit with 2");
+}
+
+#[test]
+fn stats_prints_one_row_per_sweep() {
+    let out = nmcache()
+        .args(["missrates", "--quick", "--stats"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("Parallel sweeps"), "{text}");
+    let row: Vec<&str> = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("missrate-table"))
+        .unwrap_or_else(|| panic!("no missrate-table row: {text}"))
+        .split_whitespace()
+        .collect();
+    // sweep, items, workers, wall (ms), items/s, faults, retries, dead
+    assert_eq!(row.len(), 8, "{row:?}");
+    assert_eq!(row[1], "15", "{row:?}");
+    assert_eq!(row[5..], ["0", "0", "0"], "{row:?}");
+}
+
 /// A tiny two-cell campaign invocation rooted at `dir`.
 fn campaign_cmd(dir: &std::path::Path) -> Command {
     let mut cmd = nmcache();

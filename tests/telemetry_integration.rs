@@ -196,6 +196,7 @@ fn study_run_writes_a_golden_metrics_report() {
     };
     // A healthy study builds surfaces and touches the memo cache...
     assert!(counter("eval.surface_built") > 0);
+    assert!(counter("surface.soa.points") > 0);
     assert!(counter("eval.front_built") > 0);
     assert!(counter("sweep.items") > 0);
     // ...and records zero fault-class events.
