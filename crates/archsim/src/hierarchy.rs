@@ -62,25 +62,26 @@ pub struct MultiLevelStats {
 }
 
 impl MultiLevelStats {
-    /// Local (per-demand-probe) miss rate of each level, outermost first.
-    pub fn local_miss_rates(&self) -> Vec<f64> {
-        self.levels.iter().map(CacheStats::miss_rate).collect()
-    }
-
-    /// Validated [`local_miss_rates`](Self::local_miss_rates): every rate
-    /// checked finite and in `[0, 1]` before it can feed delay weights.
+    /// Local (per-demand-probe) miss rate of each level, outermost first,
+    /// every rate checked finite and in `[0, 1]` before it can feed delay
+    /// weights.
     ///
     /// # Errors
     ///
     /// [`SimError::MissRateOutOfRange`] naming the first offending level.
     pub fn try_local_miss_rates(&self) -> Result<Vec<f64>, SimError> {
-        let rates = self.local_miss_rates();
-        for (level, &value) in rates.iter().enumerate() {
-            if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-                return Err(SimError::MissRateOutOfRange { level, value });
-            }
-        }
-        Ok(rates)
+        self.levels
+            .iter()
+            .enumerate()
+            .map(|(level, stats)| {
+                let value = stats.miss_rate();
+                if value.is_finite() && (0.0..=1.0).contains(&value) {
+                    Ok(value)
+                } else {
+                    Err(SimError::MissRateOutOfRange { level, value })
+                }
+            })
+            .collect()
     }
 
     /// Global miss rate: main-memory accesses per CPU reference (the

@@ -10,9 +10,9 @@
 //! * a [`HierarchySpec`] *describes* the problem — cache levels, their
 //!   [`Scheme`](crate::groups::Scheme) grouping, delay weights and
 //!   [`CostKind`](crate::groups::CostKind) pricing;
-//! * any [`Constraint`](nm_opt::objective::Constraint) describes what
-//!   "optimal" means (a [`Deadline`](nm_opt::objective::Deadline) for the
-//!   iso-delay/iso-AMAT studies);
+//! * any [`Constraint`] describes what "optimal" means (a
+//!   [`Deadline`](nm_opt::objective::Deadline) for the iso-delay/iso-AMAT
+//!   studies);
 //! * the [`Evaluator`] runs the pipeline, **memoizing** component metric
 //!   surfaces per `(circuit, component)` and Pareto fronts per spec, so
 //!   each `(component, knob point)` is analysed exactly once no matter
@@ -20,8 +20,7 @@
 //!
 //! Results are bit-identical to the direct pipeline: the circuit model is
 //! pure, so cached metrics equal freshly computed ones, and the engine
-//! routes pricing through the same
-//! [`candidate_from_metrics`](crate::groups::candidate_from_metrics) path
+//! routes pricing through the same `groups::candidate_from_metrics` path
 //! with the same summation order as [`crate::groups::cache_groups`].
 
 mod cache;
@@ -476,11 +475,11 @@ impl Evaluator {
                 let prims = table_for(circuit);
                 if nm_telemetry::enabled() {
                     let t0 = nm_telemetry::Stopwatch::start();
-                    let surface = circuit.component_surface_with(*id, &self.points, prims);
+                    let surface = circuit.component_surface_with(*id, prims);
                     t0.observe(crate::names::EVAL_SURFACE_BUILD_SECONDS);
                     surface
                 } else {
-                    circuit.component_surface_with(*id, &self.points, prims)
+                    circuit.component_surface_with(*id, prims)
                 }
             });
 

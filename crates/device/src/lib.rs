@@ -76,7 +76,7 @@ mod error;
 pub use error::DeviceError;
 pub use knobs::{KnobGrid, KnobPoint};
 pub use leakage::LeakageBreakdown;
-pub use prims::{HoistedPrims, PointPrims, PrimsTable, ScalarPrims};
+pub use prims::{HoistedPrims, PrimsTable};
 pub use tech::TechnologyNode;
 pub use technology::{DeviceTechnology, Edram, SramBptm65, SttMram, TechProfile};
 pub use transistor::{Mosfet, MosfetKind};

@@ -1,4 +1,5 @@
-//! Per-point primitive providers for grid-bulk evaluation.
+//! Device primitives at one knob point, the form the cache circuit
+//! models consume.
 //!
 //! The circuit models in `nm-geometry` compose a handful of device
 //! primitives — subthreshold and gate-tunnelling currents, drive
@@ -6,135 +7,39 @@
 //! component analysis. Every one of those primitives factors into a part
 //! that depends only on the knob pair (the `exp`/`powf` terms of the
 //! paper's Eq.1/Eq.2 fitted forms) and a cheap multiplier chain over the
-//! device geometry. When a whole knob grid is evaluated at once, the
-//! expensive factors can be hoisted out and computed once per point.
+//! device geometry, so the expensive factors are hoisted out and
+//! computed once per point:
 //!
-//! [`PointPrims`] abstracts that factoring:
-//!
-//! * [`ScalarPrims`] delegates every call to the reference functions in
-//!   [`crate::leakage`] / [`crate::drive`] — the seed arithmetic,
-//!   unchanged;
 //! * [`HoistedPrims`] carries the precomputed per-point factors and
 //!   finishes each call with the **same left-to-right multiply chain**
-//!   the reference functions use, so its results are bit-identical;
+//!   the reference functions in [`crate::leakage`] / [`crate::drive`]
+//!   use, so its results are bit-identical to them;
 //! * [`PrimsTable`] builds a `HoistedPrims` per grid point, deduplicating
 //!   the per-axis work (`Tox`-only and `Vth`-only terms are computed once
 //!   per distinct axis value, not once per point).
 //!
 //! Bit-identity is load-bearing: the evaluation engine's golden tables
-//! pin results to the last decimal, so the hoisted path must reproduce
-//! the exact floating-point operation order of the scalar path. Each
-//! `HoistedPrims` method documents the chain it replicates.
+//! pin results to the last decimal, so the hoisted factors must
+//! reproduce the exact floating-point operation order of the reference
+//! functions. Each `HoistedPrims` method documents the chain it
+//! replicates.
 
-use crate::drive;
 use crate::knobs::KnobPoint;
-use crate::leakage::{self, ConductionState};
+use crate::leakage::ConductionState;
 use crate::tech::TechnologyNode;
 use crate::transistor::MosfetKind;
 use crate::units::{Amperes, Farads, Meters, Microns, Ohms};
-
-/// Device primitives evaluated at one knob point.
-///
-/// All lengths are the drawn length mandated by the point's `Tox` (the
-/// only length the cache geometry models use).
-pub trait PointPrims {
-    /// The knob point these primitives are evaluated at.
-    fn point(&self) -> KnobPoint;
-
-    /// Drawn channel length mandated by this point's `Tox`.
-    fn drawn_length(&self, tech: &TechnologyNode) -> Meters;
-
-    /// Linear cell-scale factor of this point's `Tox`.
-    fn cell_scale(&self, tech: &TechnologyNode) -> f64;
-
-    /// Subthreshold current of an off device of the given width (drawn
-    /// length), as [`leakage::subthreshold_current`].
-    fn subthreshold_current(&self, tech: &TechnologyNode, width: Microns) -> Amperes;
-
-    /// Gate-tunnelling current of a device of the given width, as
-    /// [`leakage::gate_current`].
-    fn gate_current(
-        &self,
-        tech: &TechnologyNode,
-        width: Microns,
-        state: ConductionState,
-    ) -> Amperes;
-
-    /// Saturation drive current, as [`drive::on_current`].
-    fn on_current(&self, tech: &TechnologyNode, width: Microns, kind: MosfetKind) -> Amperes;
-
-    /// Effective switching resistance, as [`drive::effective_resistance`].
-    fn effective_resistance(&self, tech: &TechnologyNode, width: Microns, kind: MosfetKind)
-        -> Ohms;
-
-    /// Total gate capacitance, as [`drive::gate_capacitance`].
-    fn gate_capacitance(&self, tech: &TechnologyNode, width: Microns) -> Farads;
-}
-
-/// The reference provider: every call goes straight to the scalar device
-/// functions with `length = tech.drawn_length(tox)`. Zero precomputation,
-/// bit-identical to calling [`crate::leakage`] / [`crate::drive`] by hand.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalarPrims(KnobPoint);
-
-impl ScalarPrims {
-    /// Wraps a knob point.
-    pub fn new(knobs: KnobPoint) -> Self {
-        ScalarPrims(knobs)
-    }
-}
-
-impl PointPrims for ScalarPrims {
-    fn point(&self) -> KnobPoint {
-        self.0
-    }
-
-    fn drawn_length(&self, tech: &TechnologyNode) -> Meters {
-        tech.drawn_length(self.0.tox())
-    }
-
-    fn cell_scale(&self, tech: &TechnologyNode) -> f64 {
-        tech.cell_scale(self.0.tox())
-    }
-
-    fn subthreshold_current(&self, tech: &TechnologyNode, width: Microns) -> Amperes {
-        leakage::subthreshold_current(tech, self.0, width, self.drawn_length(tech))
-    }
-
-    fn gate_current(
-        &self,
-        tech: &TechnologyNode,
-        width: Microns,
-        state: ConductionState,
-    ) -> Amperes {
-        leakage::gate_current(tech, self.0, width, self.drawn_length(tech), state)
-    }
-
-    fn on_current(&self, tech: &TechnologyNode, width: Microns, kind: MosfetKind) -> Amperes {
-        drive::on_current(tech, self.0, width, self.drawn_length(tech), kind)
-    }
-
-    fn effective_resistance(
-        &self,
-        tech: &TechnologyNode,
-        width: Microns,
-        kind: MosfetKind,
-    ) -> Ohms {
-        drive::effective_resistance(tech, self.0, width, self.drawn_length(tech), kind)
-    }
-
-    fn gate_capacitance(&self, tech: &TechnologyNode, width: Microns) -> Farads {
-        drive::gate_capacitance(tech, self.0, width, self.drawn_length(tech))
-    }
-}
 
 /// Precomputed per-point factors of every device primitive.
 ///
 /// Construction pays one `exp` (the joint subthreshold exponent), one
 /// `powf` (the alpha-power overdrive) and one more `exp` (the
-/// gate-tunnelling density) per point; every [`PointPrims`] call is then
-/// a short multiply chain, width- and component-independent work having
-/// been hoisted.
+/// gate-tunnelling density) per point; every primitive is then a short
+/// multiply chain, width- and component-independent work having been
+/// hoisted. The technology node is captured at construction, so the
+/// primitives take only the device's width (and state or kind); all
+/// lengths are the drawn length mandated by the point's `Tox`, the only
+/// length the cache geometry models use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoistedPrims {
     knobs: KnobPoint,
@@ -246,36 +151,35 @@ impl HoistedPrims {
             cfringe: tech.cfringe_per_width(),
         }
     }
-}
 
-impl PointPrims for HoistedPrims {
-    fn point(&self) -> KnobPoint {
+    /// The knob point these primitives are evaluated at.
+    pub fn point(&self) -> KnobPoint {
         self.knobs
     }
 
-    fn drawn_length(&self, _tech: &TechnologyNode) -> Meters {
+    /// Drawn channel length mandated by this point's `Tox`.
+    pub fn drawn_length(&self) -> Meters {
         self.length
     }
 
-    fn cell_scale(&self, _tech: &TechnologyNode) -> f64 {
+    /// Linear cell-scale factor of this point's `Tox`.
+    pub fn cell_scale(&self) -> f64 {
         self.scale
     }
 
-    // `μ·Cox · (W/L) · vT · vT · e^(…) · (1 − e^(−Vdd/vT))` — the exact
-    // left-to-right chain of `leakage::subthreshold_current` with the
-    // first pair and both exponentials precomputed.
-    fn subthreshold_current(&self, _tech: &TechnologyNode, width: Microns) -> Amperes {
+    /// Subthreshold current of an off device of the given width, as
+    /// [`crate::leakage::subthreshold_current`]:
+    /// `μ·Cox · (W/L) · vT · vT · e^(…) · (1 − e^(−Vdd/vT))`, the exact
+    /// left-to-right chain with the first pair and both exponentials
+    /// precomputed.
+    pub fn subthreshold_current(&self, width: Microns) -> Amperes {
         let w_over_l = width.meters().0 / self.length.0;
         Amperes(self.sub_k * w_over_l * self.vt * self.vt * self.sub_exp * self.drain_term)
     }
 
-    // `density · W·L · state_factor`, as `leakage::gate_current`.
-    fn gate_current(
-        &self,
-        _tech: &TechnologyNode,
-        width: Microns,
-        state: ConductionState,
-    ) -> Amperes {
+    /// Gate-tunnelling current of a device of the given width, as
+    /// [`crate::leakage::gate_current`]: `density · W·L · state_factor`.
+    pub fn gate_current(&self, width: Microns, state: ConductionState) -> Amperes {
         let area = width.meters().0 * self.length.0;
         let state_factor = match state {
             ConductionState::On => 1.0,
@@ -284,9 +188,9 @@ impl PointPrims for HoistedPrims {
         Amperes(self.gate_density * area * state_factor)
     }
 
-    // `k · kind_factor · (W/L) · Cox · (Vdd − Vth)^α`, as
-    // `drive::on_current`.
-    fn on_current(&self, _tech: &TechnologyNode, width: Microns, kind: MosfetKind) -> Amperes {
+    /// Saturation drive current, as [`crate::drive::on_current`]:
+    /// `k · kind_factor · (W/L) · Cox · (Vdd − Vth)^α`.
+    pub fn on_current(&self, width: Microns, kind: MosfetKind) -> Amperes {
         let w_over_l = width.meters().0 / self.length.0;
         let kind_factor = match kind {
             MosfetKind::Nmos => 1.0,
@@ -295,21 +199,18 @@ impl PointPrims for HoistedPrims {
         Amperes(self.k_drive * kind_factor * w_over_l * self.cox * self.drive_pow)
     }
 
-    // `(0.7·Vdd)/Ion · 1/(1 − λ·Vth/Vdd)`, as
-    // `drive::effective_resistance`.
-    fn effective_resistance(
-        &self,
-        tech: &TechnologyNode,
-        width: Microns,
-        kind: MosfetKind,
-    ) -> Ohms {
-        let ion = self.on_current(tech, width, kind);
+    /// Effective switching resistance, as
+    /// [`crate::drive::effective_resistance`]:
+    /// `(0.7·Vdd)/Ion · 1/(1 − λ·Vth/Vdd)`.
+    pub fn effective_resistance(&self, width: Microns, kind: MosfetKind) -> Ohms {
+        let ion = self.on_current(width, kind);
         let base = self.r_num / ion.0;
         Ohms(base * self.near_vth)
     }
 
-    // `Cox·W·L + cfringe·W`, as `drive::gate_capacitance`.
-    fn gate_capacitance(&self, _tech: &TechnologyNode, width: Microns) -> Farads {
+    /// Total gate capacitance, as [`crate::drive::gate_capacitance`]:
+    /// `Cox·W·L + cfringe·W`.
+    pub fn gate_capacitance(&self, width: Microns) -> Farads {
         let w = width.meters().0;
         let plate = self.cox * w * self.length.0;
         let fringe = self.cfringe * w;
@@ -379,7 +280,9 @@ impl PrimsTable {
 mod tests {
     use super::*;
     use crate::knobs::KnobGrid;
-    use crate::units::{Angstroms, Volts};
+    use crate::units::{Angstroms, Kelvin, Volts};
+    use crate::{drive, leakage};
+    use proptest::prelude::*;
 
     fn tech() -> TechnologyNode {
         TechnologyNode::bptm65()
@@ -389,76 +292,116 @@ mod tests {
         KnobPoint::new(Volts(vth), Angstroms(tox)).unwrap()
     }
 
-    /// Every primitive of the hoisted provider must agree bit-for-bit
-    /// with the scalar reference over the full paper grid.
+    /// Asserts that every primitive of `h` carries the exact bits of the
+    /// reference functions in `leakage`/`drive`, evaluated at `p` with
+    /// the drawn length its `Tox` mandates.
+    fn assert_matches_reference(t: &TechnologyNode, p: KnobPoint, h: &HoistedPrims) {
+        let length = t.drawn_length(p.tox());
+        assert_eq!(h.point(), p);
+        assert_eq!(h.drawn_length().0.to_bits(), length.0.to_bits(), "L at {p}");
+        assert_eq!(
+            h.cell_scale().to_bits(),
+            t.cell_scale(p.tox()).to_bits(),
+            "scale at {p}"
+        );
+        for width in [Microns(0.15), Microns(0.5), Microns(4.0)] {
+            assert_eq!(
+                h.subthreshold_current(width).0.to_bits(),
+                leakage::subthreshold_current(t, p, width, length)
+                    .0
+                    .to_bits(),
+                "sub at {p}"
+            );
+            for state in [ConductionState::On, ConductionState::Off] {
+                assert_eq!(
+                    h.gate_current(width, state).0.to_bits(),
+                    leakage::gate_current(t, p, width, length, state)
+                        .0
+                        .to_bits(),
+                    "gate at {p}"
+                );
+            }
+            for kind in [MosfetKind::Nmos, MosfetKind::Pmos] {
+                assert_eq!(
+                    h.on_current(width, kind).0.to_bits(),
+                    drive::on_current(t, p, width, length, kind).0.to_bits(),
+                    "ion at {p}"
+                );
+                assert_eq!(
+                    h.effective_resistance(width, kind).0.to_bits(),
+                    drive::effective_resistance(t, p, width, length, kind)
+                        .0
+                        .to_bits(),
+                    "reff at {p}"
+                );
+            }
+            assert_eq!(
+                h.gate_capacitance(width).0.to_bits(),
+                drive::gate_capacitance(t, p, width, length).0.to_bits(),
+                "cg at {p}"
+            );
+        }
+    }
+
+    /// Every primitive of a table entry agrees bit-for-bit with the
+    /// reference functions over the full paper grid.
     #[test]
-    fn hoisted_matches_scalar_bit_for_bit() {
+    fn hoisted_matches_reference_bit_for_bit() {
         let t = tech();
         let points: Vec<KnobPoint> = KnobGrid::paper().points().collect();
         let table = PrimsTable::new(&t, &points);
         assert_eq!(table.len(), points.len());
         for (p, h) in points.iter().zip(table.items()) {
-            let s = ScalarPrims::new(*p);
-            assert_eq!(h.point(), s.point());
-            assert_eq!(
-                h.drawn_length(&t).0.to_bits(),
-                s.drawn_length(&t).0.to_bits()
-            );
-            assert_eq!(h.cell_scale(&t).to_bits(), s.cell_scale(&t).to_bits());
-            for width in [Microns(0.15), Microns(0.5), Microns(4.0)] {
-                assert_eq!(
-                    h.subthreshold_current(&t, width).0.to_bits(),
-                    s.subthreshold_current(&t, width).0.to_bits(),
-                    "sub at {p}"
-                );
-                for state in [ConductionState::On, ConductionState::Off] {
-                    assert_eq!(
-                        h.gate_current(&t, width, state).0.to_bits(),
-                        s.gate_current(&t, width, state).0.to_bits(),
-                        "gate at {p}"
-                    );
-                }
-                for kind in [MosfetKind::Nmos, MosfetKind::Pmos] {
-                    assert_eq!(
-                        h.on_current(&t, width, kind).0.to_bits(),
-                        s.on_current(&t, width, kind).0.to_bits(),
-                        "ion at {p}"
-                    );
-                    assert_eq!(
-                        h.effective_resistance(&t, width, kind).0.to_bits(),
-                        s.effective_resistance(&t, width, kind).0.to_bits(),
-                        "reff at {p}"
-                    );
-                }
-                assert_eq!(
-                    h.gate_capacitance(&t, width).0.to_bits(),
-                    s.gate_capacitance(&t, width).0.to_bits(),
-                    "cg at {p}"
-                );
-            }
+            assert_matches_reference(&t, *p, h);
         }
     }
 
-    /// The hoisted factors must also be identical under modified nodes
-    /// (the temperature and sensitivity studies re-derive the node).
+    /// The hoisted factors follow modified nodes (the temperature and
+    /// sensitivity studies re-derive the node).
     #[test]
     fn hoisted_tracks_modified_nodes() {
-        let hot = tech().at_temperature(crate::units::Kelvin::from_celsius(110.0));
         let p = k(0.35, 11.5);
-        let h = HoistedPrims::new(&hot, p);
-        let s = ScalarPrims::new(p);
-        assert_eq!(
-            h.subthreshold_current(&hot, Microns(1.0)).0.to_bits(),
-            s.subthreshold_current(&hot, Microns(1.0)).0.to_bits()
-        );
-        assert_eq!(
-            h.effective_resistance(&hot, Microns(1.0), MosfetKind::Pmos)
-                .0
-                .to_bits(),
-            s.effective_resistance(&hot, Microns(1.0), MosfetKind::Pmos)
-                .0
-                .to_bits()
-        );
+        for node in [
+            tech().at_temperature(Kelvin::from_celsius(110.0)),
+            tech().with_length_scaling(0.0),
+            tech().with_gate_slope(0.9),
+            tech().with_near_vth_slowdown(0.0),
+        ] {
+            assert_matches_reference(&node, p, &HoistedPrims::new(&node, p));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Off-grid knob points under randomly modified nodes: each of
+        /// the four node modifiers is applied when its bit of `mods` is
+        /// set, so the base node, each modifier alone and their
+        /// combinations are all drawn.
+        #[test]
+        fn hoisted_matches_reference_off_grid(
+            (vth, tox) in (0.2f64..=0.5, 10.0f64..=14.0),
+            mods in 0u8..16,
+            (celsius, kappa, bg, lambda) in (-40.0f64..=150.0, 0.0f64..=1.0, 0.6f64..=1.8, 0.0f64..0.9),
+        ) {
+            let mut node = tech();
+            if mods & 1 != 0 {
+                node = node.at_temperature(Kelvin::from_celsius(celsius));
+            }
+            if mods & 2 != 0 {
+                node = node.with_length_scaling(kappa);
+            }
+            if mods & 4 != 0 {
+                node = node.with_gate_slope(bg);
+            }
+            if mods & 8 != 0 {
+                node = node.with_near_vth_slowdown(lambda);
+            }
+            let p = k(vth, tox);
+            assert_matches_reference(&node, p, &HoistedPrims::new(&node, p));
+            let table = PrimsTable::new(&node, &[p]);
+            prop_assert_eq!(&table.items()[0], &HoistedPrims::new(&node, p));
+        }
     }
 
     /// Axis dedup must not change results relative to direct

@@ -21,7 +21,7 @@ use crate::decoder;
 use crate::sram::SramCell;
 use nm_device::leakage::LeakageBreakdown;
 use nm_device::units::{Joules, Seconds, SquareMicrons, Watts};
-use nm_device::{KnobPoint, PointPrims, PrimsTable, TechProfile, TechnologyNode};
+use nm_device::{HoistedPrims, KnobPoint, PrimsTable, TechProfile, TechnologyNode};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -264,34 +264,19 @@ impl CacheCircuit {
     /// depend only on `(id, knobs)` — the independence the optimisers
     /// rely on.
     pub fn analyze_component(&self, id: ComponentId, knobs: KnobPoint) -> ComponentMetrics {
-        let org = self.org;
-        let m = match id {
-            ComponentId::MemoryArray => array::analyze(&self.tech, &org, &self.cell, knobs),
-            ComponentId::Decoder => decoder::analyze(&self.tech, &org, &self.cell, knobs),
-            ComponentId::AddressBus => bus::analyze_address(&self.tech, &org, &self.cell, knobs),
-            ComponentId::DataBus => bus::analyze_data(&self.tech, &org, &self.cell, knobs),
-        };
-        self.apply_profile(id, m)
+        self.analyze_at(id, &HoistedPrims::new(&self.tech, knobs))
     }
 
-    /// [`analyze_component`](Self::analyze_component) through a primitive
-    /// provider — the bulk path used by [`component_surface_with`]
-    /// (hoisted per-point device primitives shared across components).
-    ///
-    /// [`component_surface_with`]: Self::component_surface_with
-    pub fn analyze_component_with<P: PointPrims>(
-        &self,
-        id: ComponentId,
-        prims: &P,
-    ) -> ComponentMetrics {
+    /// One component at the knob pair of `prims`: the body shared by
+    /// [`analyze_component`](Self::analyze_component) and the surface
+    /// builders.
+    fn analyze_at(&self, id: ComponentId, prims: &HoistedPrims) -> ComponentMetrics {
         let org = self.org;
         let m = match id {
-            ComponentId::MemoryArray => array::analyze_with(&self.tech, &org, &self.cell, prims),
-            ComponentId::Decoder => decoder::analyze_with(&self.tech, &org, &self.cell, prims),
-            ComponentId::AddressBus => {
-                bus::analyze_address_with(&self.tech, &org, &self.cell, prims)
-            }
-            ComponentId::DataBus => bus::analyze_data_with(&self.tech, &org, &self.cell, prims),
+            ComponentId::MemoryArray => array::analyze(&self.tech, &org, &self.cell, prims),
+            ComponentId::Decoder => decoder::analyze(&self.tech, &org, &self.cell, prims),
+            ComponentId::AddressBus => bus::analyze_address(&self.tech, &org, &self.cell, prims),
+            ComponentId::DataBus => bus::analyze_data(&self.tech, &org, &self.cell, prims),
         };
         self.apply_profile(id, m)
     }
@@ -314,36 +299,19 @@ impl CacheCircuit {
     /// of scattered [`analyze_component`](Self::analyze_component) calls,
     /// and the resulting surface supports O(1) point lookup.
     pub fn component_surface(&self, id: ComponentId, points: &[KnobPoint]) -> ComponentSurface {
-        let prims = PrimsTable::new(&self.tech, points);
-        self.component_surface_with(id, points, &prims)
+        self.component_surface_with(id, &PrimsTable::new(&self.tech, points))
     }
 
     /// [`component_surface`](Self::component_surface) over a prebuilt
-    /// [`PrimsTable`], so callers sweeping several components of the same
-    /// circuit over the same point set pay the per-point device-primitive
-    /// hoisting once instead of once per component.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `prims` was not built over exactly `points`.
-    pub fn component_surface_with(
-        &self,
-        id: ComponentId,
-        points: &[KnobPoint],
-        prims: &PrimsTable,
-    ) -> ComponentSurface {
-        assert_eq!(
-            points.len(),
-            prims.len(),
-            "prims table must be built over the surface's point set"
-        );
+    /// [`PrimsTable`] (whose points are the surface's), so callers
+    /// sweeping several components of the same circuit over the same
+    /// point set pay the per-point device-primitive hoisting once instead
+    /// of once per component.
+    pub fn component_surface_with(&self, id: ComponentId, prims: &PrimsTable) -> ComponentSurface {
+        let items = prims.items();
         ComponentSurface::new(
-            points.to_vec(),
-            prims
-                .items()
-                .iter()
-                .map(|h| self.analyze_component_with(id, h))
-                .collect(),
+            items.iter().map(HoistedPrims::point).collect(),
+            items.iter().map(|h| self.analyze_at(id, h)).collect(),
         )
     }
 
@@ -810,7 +778,7 @@ mod tests {
         let points: Vec<KnobPoint> = nm_device::KnobGrid::coarse().points().collect();
         let prims = PrimsTable::new(c.tech(), &points);
         for id in COMPONENT_IDS {
-            let shared = c.component_surface_with(id, &points, &prims);
+            let shared = c.component_surface_with(id, &prims);
             let direct = c.component_surface(id, &points);
             assert_eq!(shared, direct, "{id} surface diverged");
         }

@@ -47,6 +47,8 @@ pub mod logic;
 pub mod sram;
 
 mod error;
+#[cfg(test)]
+mod test_support;
 
 pub use assignment::{ComponentId, ComponentKnobs, COMPONENT_IDS};
 pub use cache::{CacheCircuit, CacheMetrics, ComponentMetrics, ComponentSurface};

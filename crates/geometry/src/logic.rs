@@ -4,7 +4,7 @@
 use nm_device::leakage::{self, ConductionState, LeakageBreakdown};
 use nm_device::transistor::MosfetKind;
 use nm_device::units::{Farads, Joules, Meters, Microns, Ohms, Seconds};
-use nm_device::{drive, KnobPoint, PointPrims, ScalarPrims, TechnologyNode};
+use nm_device::{drive, HoistedPrims, TechnologyNode};
 use serde::{Deserialize, Serialize};
 
 /// Ratio of PMOS to NMOS width in a balanced static gate.
@@ -16,33 +16,27 @@ pub const ELMORE: f64 = 0.69;
 /// A balanced static CMOS inverter (the generic gate of the periphery
 /// models; NANDs and NORs are expressed as inverters with series-stack
 /// resistance factors).
+///
+/// A gate is sizing only: its electrical metrics are evaluated at the
+/// knob pair of the [`HoistedPrims`] they are given, which is the knob
+/// pair of the component the gate belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Gate {
     /// NMOS width; PMOS is [`PN_RATIO`] times wider.
     pub wn: Microns,
-    /// Knob assignment of the component this gate belongs to.
-    pub knobs: KnobPoint,
     /// Series-stack factor ≥ 1 (2 for a NAND2 pulldown, etc.).
     pub stack: f64,
 }
 
 impl Gate {
     /// Creates a balanced inverter with unit stack factor.
-    pub fn inverter(wn: Microns, knobs: KnobPoint) -> Self {
-        Gate {
-            wn,
-            knobs,
-            stack: 1.0,
-        }
+    pub fn inverter(wn: Microns) -> Self {
+        Gate { wn, stack: 1.0 }
     }
 
     /// Creates a 2-input NAND-equivalent gate (stacked pulldown).
-    pub fn nand2(wn: Microns, knobs: KnobPoint) -> Self {
-        Gate {
-            wn,
-            knobs,
-            stack: 2.0,
-        }
+    pub fn nand2(wn: Microns) -> Self {
+        Gate { wn, stack: 2.0 }
     }
 
     /// PMOS width of the balanced gate.
@@ -50,36 +44,17 @@ impl Gate {
         self.wn * PN_RATIO
     }
 
-    /// Drawn channel length mandated by this gate's `Tox`.
-    pub fn length(self, tech: &TechnologyNode) -> Meters {
-        tech.drawn_length(self.knobs.tox())
-    }
-
     /// Worst-case switching resistance (pull-down path including the
     /// stack factor).
-    pub fn resistance(self, tech: &TechnologyNode) -> Ohms {
-        self.resistance_with(tech, &ScalarPrims::new(self.knobs))
-    }
-
-    /// [`resistance`](Self::resistance) evaluated through a primitive
-    /// provider (the grid-bulk path).
-    pub fn resistance_with<P: PointPrims>(self, tech: &TechnologyNode, prims: &P) -> Ohms {
-        debug_assert_eq!(self.knobs, prims.point(), "prims must match gate knobs");
-        let r = prims.effective_resistance(tech, self.wn, MosfetKind::Nmos);
+    pub fn resistance(self, prims: &HoistedPrims) -> Ohms {
+        let r = prims.effective_resistance(self.wn, MosfetKind::Nmos);
         Ohms(r.0 * self.stack)
     }
 
     /// Input capacitance presented to the previous stage (both gates).
-    pub fn input_capacitance(self, tech: &TechnologyNode) -> Farads {
-        self.input_capacitance_with(tech, &ScalarPrims::new(self.knobs))
-    }
-
-    /// [`input_capacitance`](Self::input_capacitance) through a primitive
-    /// provider.
-    pub fn input_capacitance_with<P: PointPrims>(self, tech: &TechnologyNode, prims: &P) -> Farads {
-        debug_assert_eq!(self.knobs, prims.point(), "prims must match gate knobs");
-        let cn = prims.gate_capacitance(tech, self.wn);
-        let cp = prims.gate_capacitance(tech, self.wp());
+    pub fn input_capacitance(self, prims: &HoistedPrims) -> Farads {
+        let cn = prims.gate_capacitance(self.wn);
+        let cp = prims.gate_capacitance(self.wp());
         cn + cp
     }
 
@@ -89,36 +64,20 @@ impl Gate {
     }
 
     /// Propagation delay driving an external load.
-    pub fn delay(self, tech: &TechnologyNode, load: Farads) -> Seconds {
-        self.delay_with(tech, &ScalarPrims::new(self.knobs), load)
-    }
-
-    /// [`delay`](Self::delay) through a primitive provider.
-    pub fn delay_with<P: PointPrims>(
-        self,
-        tech: &TechnologyNode,
-        prims: &P,
-        load: Farads,
-    ) -> Seconds {
+    pub fn delay(self, tech: &TechnologyNode, prims: &HoistedPrims, load: Farads) -> Seconds {
         let c = self.self_capacitance(tech) + load;
-        Seconds(ELMORE * self.resistance_with(tech, prims).0 * c.0)
+        Seconds(ELMORE * self.resistance(prims).0 * c.0)
     }
 
     /// Standby leakage of the gate, averaged over input states: at any
     /// time one transistor of the pair is off (subthreshold + edge gate
     /// tunnelling) and the other is on (full gate tunnelling).
-    pub fn leakage(self, tech: &TechnologyNode) -> LeakageBreakdown {
-        self.leakage_with(tech, &ScalarPrims::new(self.knobs))
-    }
-
-    /// [`leakage`](Self::leakage) through a primitive provider.
-    pub fn leakage_with<P: PointPrims>(self, tech: &TechnologyNode, prims: &P) -> LeakageBreakdown {
-        debug_assert_eq!(self.knobs, prims.point(), "prims must match gate knobs");
+    pub fn leakage(self, tech: &TechnologyNode, prims: &HoistedPrims) -> LeakageBreakdown {
         let vdd = tech.vdd();
         let half = |w: Microns| {
-            let sub = prims.subthreshold_current(tech, w);
-            let g_off = prims.gate_current(tech, w, ConductionState::Off);
-            let g_on = prims.gate_current(tech, w, ConductionState::On);
+            let sub = prims.subthreshold_current(w);
+            let g_off = prims.gate_current(w, ConductionState::Off);
+            let g_on = prims.gate_current(w, ConductionState::On);
             let j = leakage::junction_current(tech, w);
             // 50 % duty in each state.
             LeakageBreakdown::from_currents(vdd, sub * 0.5, (g_off + g_on) * 0.5, j)
@@ -131,19 +90,13 @@ impl Gate {
     }
 
     /// Energy dissipated by one output transition driving `load`.
-    pub fn switching_energy(self, tech: &TechnologyNode, load: Farads) -> Joules {
-        self.switching_energy_with(tech, &ScalarPrims::new(self.knobs), load)
-    }
-
-    /// [`switching_energy`](Self::switching_energy) through a primitive
-    /// provider.
-    pub fn switching_energy_with<P: PointPrims>(
+    pub fn switching_energy(
         self,
         tech: &TechnologyNode,
-        prims: &P,
+        prims: &HoistedPrims,
         load: Farads,
     ) -> Joules {
-        let c = self.self_capacitance(tech) + self.input_capacitance_with(tech, prims) + load;
+        let c = self.self_capacitance(tech) + self.input_capacitance(prims) + load;
         // One full charge/discharge cycle dissipates C·V²; a single
         // transition dissipates half.
         Joules(0.5 * c.0 * tech.vdd().0 * tech.vdd().0)
@@ -185,17 +138,7 @@ impl Wire {
 /// a fixed repeater pitch (0.5 mm; at least one driver).
 pub fn repeated_wire(
     tech: &TechnologyNode,
-    knobs: KnobPoint,
-    wn: Microns,
-    length: Meters,
-) -> (Seconds, u64) {
-    repeated_wire_with(tech, &ScalarPrims::new(knobs), wn, length)
-}
-
-/// [`repeated_wire`] through a primitive provider.
-pub fn repeated_wire_with<P: PointPrims>(
-    tech: &TechnologyNode,
-    prims: &P,
+    prims: &HoistedPrims,
     wn: Microns,
     length: Meters,
 ) -> (Seconds, u64) {
@@ -203,12 +146,10 @@ pub fn repeated_wire_with<P: PointPrims>(
     const REPEATER_PITCH: f64 = 0.5e-3;
     let stages = (length.0 / REPEATER_PITCH).ceil().max(1.0) as u64;
     let seg = Meters(length.0 / stages as f64);
-    let driver = Gate::inverter(wn, prims.point());
+    let driver = Gate::inverter(wn);
     let wire = Wire::new(tech, seg);
-    let per_stage = wire.elmore_delay(
-        driver.resistance_with(tech, prims),
-        driver.input_capacitance_with(tech, prims),
-    ) + driver.delay_with(tech, prims, Farads(0.0));
+    let per_stage = wire.elmore_delay(driver.resistance(prims), driver.input_capacitance(prims))
+        + driver.delay(tech, prims, Farads(0.0));
     (Seconds(per_stage.0 * stages as f64), stages)
 }
 
@@ -224,19 +165,19 @@ pub fn repeated_wire_with<P: PointPrims>(
 )]
 pub fn optimal_repeaters(
     tech: &TechnologyNode,
-    knobs: KnobPoint,
+    prims: &HoistedPrims,
     length: Meters,
 ) -> (Seconds, Microns, u64) {
     let mut best: Option<(Seconds, Microns, u64)> = None;
     for width_um in [1.0, 2.0, 4.0, 8.0, 16.0] {
         let wn = Microns(width_um);
-        let driver = Gate::inverter(wn, knobs);
+        let driver = Gate::inverter(wn);
         for stages in 1..=64u64 {
             let seg = Meters(length.0 / stages as f64);
             let wire = Wire::new(tech, seg);
             let per_stage = wire
-                .elmore_delay(driver.resistance(tech), driver.input_capacitance(tech))
-                + driver.delay(tech, Farads(0.0));
+                .elmore_delay(driver.resistance(prims), driver.input_capacitance(prims))
+                + driver.delay(tech, prims, Farads(0.0));
             let total = Seconds(per_stage.0 * stages as f64);
             if best.as_ref().is_none_or(|(t, _, _)| total.0 < t.0) {
                 best = Some((total, wn, stages));
@@ -250,55 +191,53 @@ pub fn optimal_repeaters(
 /// driving `fanout` copies of the next.
 pub fn chain_delay(
     tech: &TechnologyNode,
-    knobs: KnobPoint,
+    prims: &HoistedPrims,
     wn: Microns,
     stages: u32,
     fanout: f64,
 ) -> Seconds {
-    let g = Gate::inverter(wn, knobs);
-    let load = Farads(g.input_capacitance(tech).0 * fanout);
-    Seconds(g.delay(tech, load).0 * f64::from(stages))
+    let g = Gate::inverter(wn);
+    let load = Farads(g.input_capacitance(prims).0 * fanout);
+    Seconds(g.delay(tech, prims, load).0 * f64::from(stages))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nm_device::units::{Angstroms, Volts};
+    use crate::test_support::{k, nominal};
 
     fn tech() -> TechnologyNode {
         TechnologyNode::bptm65()
     }
 
-    fn k(vth: f64, tox: f64) -> KnobPoint {
-        KnobPoint::new(Volts(vth), Angstroms(tox)).unwrap()
-    }
-
     #[test]
     fn inverter_delay_is_picoseconds() {
         let t = tech();
-        let g = Gate::inverter(Microns(1.0), KnobPoint::nominal());
-        let d = g.delay(&t, g.input_capacitance(&t) * 4.0);
+        let p = nominal();
+        let g = Gate::inverter(Microns(1.0));
+        let d = g.delay(&t, &p, g.input_capacitance(&p) * 4.0);
         assert!((1.0..100.0).contains(&d.picos()), "d = {} ps", d.picos());
     }
 
     #[test]
     fn higher_vth_is_slower_and_less_leaky() {
         let t = tech();
-        let fast = Gate::inverter(Microns(1.0), k(0.2, 12.0));
-        let slow = Gate::inverter(Microns(1.0), k(0.5, 12.0));
-        let load = fast.input_capacitance(&t);
-        assert!(slow.delay(&t, load).0 > fast.delay(&t, load).0);
-        assert!(slow.leakage(&t).total().0 < fast.leakage(&t).total().0);
+        let (fast, slow) = (k(0.2, 12.0), k(0.5, 12.0));
+        let g = Gate::inverter(Microns(1.0));
+        let load = g.input_capacitance(&fast);
+        assert!(g.delay(&t, &slow, load).0 > g.delay(&t, &fast, load).0);
+        assert!(g.leakage(&t, &slow).total().0 < g.leakage(&t, &fast).total().0);
     }
 
     #[test]
     fn nand_stack_slower_but_leaks_less_subthreshold() {
         let t = tech();
-        let inv = Gate::inverter(Microns(1.0), KnobPoint::nominal());
-        let nand = Gate::nand2(Microns(1.0), KnobPoint::nominal());
-        let load = inv.input_capacitance(&t);
-        assert!(nand.delay(&t, load).0 > inv.delay(&t, load).0);
-        assert!(nand.leakage(&t).subthreshold.0 < inv.leakage(&t).subthreshold.0);
+        let p = nominal();
+        let inv = Gate::inverter(Microns(1.0));
+        let nand = Gate::nand2(Microns(1.0));
+        let load = inv.input_capacitance(&p);
+        assert!(nand.delay(&t, &p, load).0 > inv.delay(&t, &p, load).0);
+        assert!(nand.leakage(&t, &p).subthreshold.0 < inv.leakage(&t, &p).subthreshold.0);
     }
 
     #[test]
@@ -316,12 +255,12 @@ mod tests {
     #[test]
     fn repeaters_help_long_wires() {
         let t = tech();
-        let knobs = KnobPoint::nominal();
+        let p = nominal();
         let wn = Microns(4.0);
         let len = Meters(4e-3);
-        let (rep, stages) = repeated_wire(&t, knobs, wn, len);
-        let g = Gate::inverter(wn, knobs);
-        let raw = Wire::new(&t, len).elmore_delay(g.resistance(&t), Farads(0.0));
+        let (rep, stages) = repeated_wire(&t, &p, wn, len);
+        let g = Gate::inverter(wn);
+        let raw = Wire::new(&t, len).elmore_delay(g.resistance(&p), Farads(0.0));
         assert!(stages >= 4);
         assert!(
             rep.0 < raw.0,
@@ -334,11 +273,11 @@ mod tests {
     #[test]
     fn optimal_repeaters_beat_the_fixed_pitch_default() {
         let t = tech();
-        let knobs = KnobPoint::nominal();
+        let p = nominal();
         for len_mm in [1.0, 4.0] {
             let length = Meters(len_mm * 1e-3);
-            let (fixed, _) = repeated_wire(&t, knobs, Microns(4.0), length);
-            let (opt, w, stages) = optimal_repeaters(&t, knobs, length);
+            let (fixed, _) = repeated_wire(&t, &p, Microns(4.0), length);
+            let (opt, w, stages) = optimal_repeaters(&t, &p, length);
             assert!(
                 opt.0 <= fixed.0 + 1e-18,
                 "{len_mm} mm: optimal {} ps > fixed {} ps",
@@ -352,26 +291,28 @@ mod tests {
     #[test]
     fn optimal_repeaters_use_more_stages_on_longer_wires() {
         let t = tech();
-        let knobs = KnobPoint::nominal();
-        let (_, _, short) = optimal_repeaters(&t, knobs, Meters(0.5e-3));
-        let (_, _, long) = optimal_repeaters(&t, knobs, Meters(8e-3));
+        let p = nominal();
+        let (_, _, short) = optimal_repeaters(&t, &p, Meters(0.5e-3));
+        let (_, _, long) = optimal_repeaters(&t, &p, Meters(8e-3));
         assert!(long > short, "short {short}, long {long}");
     }
 
     #[test]
     fn chain_delay_scales_with_stages() {
         let t = tech();
-        let d2 = chain_delay(&t, KnobPoint::nominal(), Microns(0.5), 2, 4.0);
-        let d6 = chain_delay(&t, KnobPoint::nominal(), Microns(0.5), 6, 4.0);
+        let p = nominal();
+        let d2 = chain_delay(&t, &p, Microns(0.5), 2, 4.0);
+        let d6 = chain_delay(&t, &p, Microns(0.5), 6, 4.0);
         assert!((d6.0 / d2.0 - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn switching_energy_positive_and_grows_with_load() {
         let t = tech();
-        let g = Gate::inverter(Microns(1.0), KnobPoint::nominal());
-        let e0 = g.switching_energy(&t, Farads(0.0));
-        let e1 = g.switching_energy(&t, Farads::from_femtos(100.0));
+        let p = nominal();
+        let g = Gate::inverter(Microns(1.0));
+        let e0 = g.switching_energy(&t, &p, Farads(0.0));
+        let e1 = g.switching_energy(&t, &p, Farads::from_femtos(100.0));
         assert!(e0.0 > 0.0);
         assert!(e1.0 > e0.0);
     }
@@ -379,8 +320,9 @@ mod tests {
     #[test]
     fn gate_leakage_sensitive_to_tox() {
         let t = tech();
-        let thin = Gate::inverter(Microns(1.0), k(0.3, 10.0)).leakage(&t);
-        let thick = Gate::inverter(Microns(1.0), k(0.3, 14.0)).leakage(&t);
+        let g = Gate::inverter(Microns(1.0));
+        let thin = g.leakage(&t, &k(0.3, 10.0));
+        let thick = g.leakage(&t, &k(0.3, 14.0));
         assert!(thin.gate.0 / thick.gate.0 > 10.0);
     }
 }

@@ -5,9 +5,9 @@
 //! closure into the solvers. This module names the two roles:
 //!
 //! * an [`Objective`] collapses a group's raw metric sums (delay, leakage,
-//!   dynamic energy) into the scalar cost a [`Candidate`](crate::Candidate)
-//!   carries — leakage power for the Section 4/5 studies, integrated
-//!   energy for the Figure 2 memory-system study;
+//!   dynamic energy) into the scalar cost a [`Candidate`] carries —
+//!   leakage power for the Section 4/5 studies, integrated energy for the
+//!   Figure 2 memory-system study;
 //! * a [`Constraint`] reads the optimum off a system Pareto front — a
 //!   delay [`Deadline`] for the iso-delay/iso-AMAT studies, a
 //!   [`CostBudget`] for the dual query.

@@ -75,6 +75,7 @@ OPTIONS:
   --steps <N>          Sweep steps (default 8)
   --samples <N>        Monte-Carlo samples (default 400)
   --suite <NAME>       Workload suite: spec2000 | tpcc | specweb | pointer-chase
+                       (missrates, decay and split-l1 only)
   --csv <PATH>         Also write the result table as CSV
   --trace <PATH>       Trace file for trace-sim
   --l1 <KB>            L1 size in KB (default 16)
@@ -503,6 +504,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, CliErro
         i += 1;
     }
 
+    let suite_given = opts.suite.is_some();
     let command = match cmd.as_str() {
         "list" => Command::List,
         "fig1" => Command::Fig1(opts),
@@ -527,6 +529,18 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, CliErro
         "e8" => Command::E8(opts),
         other => return Err(CliError(format!("unknown command {other:?}"))),
     };
+    // Only these commands read a workload suite; anywhere else the flag
+    // would be silently ignored.
+    if suite_given
+        && !matches!(
+            command,
+            Command::MissRates(_) | Command::Decay(_) | Command::SplitL1(_)
+        )
+    {
+        return Err(CliError(format!(
+            "--suite applies only to missrates, decay and split-l1, not {cmd}"
+        )));
+    }
     Ok(command)
 }
 
@@ -847,6 +861,17 @@ mod tests {
         match parse_str("decay --suite tpcc").unwrap() {
             Command::Decay(o) => assert_eq!(o.suite.as_deref(), Some("tpcc")),
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn suite_is_rejected_where_no_study_reads_it() {
+        for cmd in ["missrates", "decay", "split-l1"] {
+            assert!(parse_str(&format!("{cmd} --suite tpcc")).is_ok(), "{cmd}");
+        }
+        for cmd in ["list", "fig1", "fig2", "schemes", "l2-sweep", "e8"] {
+            let err = parse_str(&format!("{cmd} --suite tpcc")).unwrap_err();
+            assert!(err.0.contains("--suite applies only"), "{cmd}: {err}");
         }
     }
 

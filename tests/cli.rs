@@ -190,6 +190,28 @@ fn explore_ranks_foldings() {
 }
 
 #[test]
+fn suite_is_a_usage_error_where_no_study_reads_it() {
+    let out = nmcache()
+        .args(["l2-sweep", "--suite", "tpcc"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit with 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--suite applies only"), "{err}");
+
+    let out = nmcache()
+        .args(["decay", "--quick", "--suite", "tpcc"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn unknown_suite_is_rejected() {
     let out = nmcache()
         .args(["decay", "--suite", "bogus"])
